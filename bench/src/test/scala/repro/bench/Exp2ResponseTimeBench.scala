@@ -24,12 +24,14 @@ class Exp2ResponseTimeBench extends SparkSpec {
     // equal-rows scale mapping)...
     assert(samples.map(_.sampleRows).min < df.count() / 20)
     assert(samples.forall(_.sampleRows <= df.count()))
-    // ...and the aggregation latency with it (paper: 20 s -> 30 ms; local
-    // Spark's fixed per-query overhead compresses the gap, so assert the
-    // ordering with headroom rather than a factor).
+    // ...and the aggregation latency with it (paper: 20 s -> 30 ms). Sample
+    // layers are answered on the driver with no Spark job, so every layer
+    // beats the full scan and the smallest by two orders of magnitude.
+    assert(samples.forall(_.aggMs <= full.aggMs),
+      s"sample agg (${samples.map(_.aggMs)} ms) should not exceed full scan (${full.aggMs} ms)")
     val bestSample = samples.map(_.aggMs).min
-    assert(bestSample <= full.aggMs,
-      s"sample agg ($bestSample ms) should not exceed full scan (${full.aggMs} ms)")
+    assert(bestSample * 100 <= full.aggMs,
+      s"best sample agg ($bestSample ms) should be 100x below the full scan (${full.aggMs} ms)")
 
     // Model-fitting side: LSTM is the expensive model (paper: ~1 s vs ms).
     assert(res.rows.forall(r => r.lstmMs > r.arimaMs),

@@ -100,7 +100,7 @@ object RunForecast {
     val res = repro.core.FlashP.runOnSample(task, layer)
     println(s"task: ${task.sql}")
     println(s"sample rows: ${layer.rows} (rate ≈ $rate)")
-    println(s"agg: ${res.aggMillis} ms, forecast: ${res.forecastMillis} ms")
+    println(f"agg: ${res.aggMillis}%.3f ms, forecast: ${res.forecastMillis}%.3f ms")
     println("forecast (point [lo, hi]):")
     res.forecast.point.indices.foreach { h =>
       println(f"  t+${h + 1}: ${res.forecast.point(h)}%.1f " +

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.sampling.Sampler
 
 /** The online aggregation phase (§2.2, eq. 4): turn a forecasting task into
@@ -41,8 +42,23 @@ object Estimator {
       .groupBy(col(timeCol))
       .agg(sum(value) as "m")
       .collect()
-    val byDay = rows.map(r => r.getInt(0) -> r.getDouble(1)).toMap
+    val byDay = rows.map(r => dayOf(r.get(0)) -> r.getDouble(1)).toMap
     Array.tabulate(task.te - task.ts + 1)(i => byDay.getOrElse(task.ts + i, 0.0))
+  }
+
+  private[core] def isIntegral(t: DataType): Boolean = t match {
+    case ByteType | ShortType | IntegerType | LongType => true
+    case _ => false
+  }
+
+  /** The day of a time-column value of any integral type. */
+  private[core] def dayOf(t: Any): Int = t match {
+    case d: Int   => d
+    case d: Long  => Math.toIntExact(d)
+    case d: Short => d.toInt
+    case d: Byte  => d.toInt
+    case other    => throw new IllegalArgumentException(
+      s"time column value $other (${other.getClass.getSimpleName}) is not integral")
   }
 }
 

@@ -5,30 +5,50 @@ import org.apache.spark.storage.StorageLevel
 import repro.forecast.{ArimaForecaster, Forecast, Forecaster, LstmForecaster}
 import repro.sampling.Sampler
 
-/** A sample materialized in the "OLAP engine" (here: a cached Spark
-  * DataFrame — our stand-in for the paper's Hologres in-memory store).
+/** A sample layer in the "OLAP engine".
   *
   * @param layer   layer name, e.g. "0.1%"
   * @param sampler the sampler that produced it
-  * @param df      cached sample relation with `est_*` columns
+  * @param df      cached sample relation with `est_*` columns; incremental
+  *                maintenance and the DuckDB oracle read it
   * @param rows    materialized sample row count (space cost)
+  * @param columns the layer copied to the driver as primitive columns, our
+  *                stand-in for the paper's Hologres in-memory store;
+  *                [[SampleStore.add]] makes it. A layer without one (e.g.
+  *                built directly from `IncrementalGSW.append`) is served by
+  *                one Spark aggregation over `df`.
   */
-final case class StoredSample(layer: String, sampler: Sampler, df: DataFrame, rows: Long)
+final case class StoredSample(layer: String, sampler: Sampler, df: DataFrame, rows: Long,
+                              columns: Option[SampleColumns] = None) {
+
+  /** The task's per-day estimates, from the driver copy when there is one. */
+  def series(task: ForecastTask): Array[Double] =
+    columns.fold(Estimator.estimateSeries(df, task))(_.series(task))
+}
 
 /** Multi-layer sample store (§3.2, §5): FlashP keeps samples of several
   * sizes (increasing Δ) per relation and picks a layer per the caller's
   * latency/accuracy requirement. Adding a layer runs the offline sampler,
-  * caches the result in memory and materializes it — after that, online
-  * queries never touch the base table.
+  * caches the result in memory and copies it to the driver in the same
+  * Spark job — after that, online queries run no Spark job and never touch
+  * the base table.
   */
 final class SampleStore {
   private var layers: Vector[StoredSample] = Vector.empty
 
-  /** Draw, cache and register a layer. */
+  /** Draw, cache and register a layer. A layer of the same name is replaced
+    * and unpersisted, after the new one is materialised.
+    */
   def add(layer: String, sampler: Sampler, full: DataFrame): StoredSample = {
     val df = sampler.sample(full).persist(StorageLevel.MEMORY_ONLY)
-    val stored = StoredSample(layer, sampler, df, df.count())
-    layers :+= stored
+    val columns = SampleColumns.collect(df, sampler.measures)
+    val stored = StoredSample(layer, sampler, df, columns.rows, Some(columns))
+    layers.indexWhere(_.layer == layer) match {
+      case -1 => layers :+= stored
+      case i =>
+        layers(i).df.unpersist()
+        layers = layers.updated(i, stored)
+    }
     stored
   }
 
@@ -44,12 +64,15 @@ final class SampleStore {
 
 /** One processed forecasting task, with the phase timings the paper's
   * Exp-II reports (aggregation is the bottleneck; model fitting is cheap
-  * for ARIMA, heavier for LSTM).
+  * for ARIMA, heavier for LSTM). Timings are in nanoseconds; a driver-side
+  * aggregation takes well under a millisecond.
   */
 final case class PipelineResult(task: ForecastTask, series: Array[Double],
-                                forecast: Forecast, aggMillis: Long,
-                                forecastMillis: Long) {
-  def totalMillis: Long = aggMillis + forecastMillis
+                                forecast: Forecast, aggNanos: Long,
+                                forecastNanos: Long) {
+  def aggMillis: Double = aggNanos / 1e6
+  def forecastMillis: Double = forecastNanos / 1e6
+  def totalMillis: Double = aggMillis + forecastMillis
 }
 
 /** End-to-end FlashP pipeline (§2.2, §5): estimate the training series from
@@ -69,25 +92,24 @@ object FlashP {
   /** Process a task against a stored sample layer. */
   def runOnSample(task: ForecastTask, sample: StoredSample,
                   level: Double = 0.9): PipelineResult =
-    run(task, Estimator.estimateSeries(sample.df, task, _), level)
+    run(task, sample.series(task), level)
 
   /** Process a task by scanning the full relation ("Full" in Table 1). */
   def runOnFull(task: ForecastTask, full: DataFrame,
                 level: Double = 0.9): PipelineResult =
-    run(task, Estimator.exactSeries(full, task, _), level)
+    run(task, Estimator.exactSeries(full, task), level)
 
   /** Process a task with PIM estimates (baseline [8]). */
   def runOnPim(task: ForecastTask, pim: PIM, level: Double = 0.9): PipelineResult =
-    run(task, _ => pim.estimateSeries(task), level)
+    run(task, pim.estimateSeries(task), level)
 
-  private def run(task: ForecastTask, seriesOf: String => Array[Double],
+  private def run(task: ForecastTask, seriesOf: => Array[Double],
                   level: Double): PipelineResult = {
     val t0 = System.nanoTime()
-    val series = seriesOf("t")
+    val series = seriesOf
     val t1 = System.nanoTime()
     val forecast = forecasterFor(task.model).fitForecast(series, task.forePeriod, level)
     val t2 = System.nanoTime()
-    PipelineResult(task, series, forecast,
-      aggMillis = (t1 - t0) / 1000000, forecastMillis = (t2 - t1) / 1000000)
+    PipelineResult(task, series, forecast, aggNanos = t1 - t0, forecastNanos = t2 - t1)
   }
 }

@@ -36,14 +36,19 @@ final case class Pred(dim: String, op: String, literal: String, isString: Boolea
           case _                  => value.compareTo(literal)
         }
       } else value.compareTo(literal)
-    op match {
-      case "="  => cmp == 0
-      case "<>" => cmp != 0
-      case "<"  => cmp < 0
-      case "<=" => cmp <= 0
-      case ">"  => cmp > 0
-      case ">=" => cmp >= 0
-    }
+    accepts(cmp)
+  }
+
+  /** Whether `op` holds for a value that compares to the literal as `cmp`
+    * (negative, zero or positive).
+    */
+  def accepts(cmp: Int): Boolean = op match {
+    case "="  => cmp == 0
+    case "<>" => cmp != 0
+    case "<"  => cmp < 0
+    case "<=" => cmp <= 0
+    case ">"  => cmp > 0
+    case ">=" => cmp >= 0
   }
 }
 

@@ -1,72 +1,76 @@
 package repro.exp
 
+import java.nio.file.{Files, Path}
 import org.apache.spark.sql.DataFrame
-import repro.core.TaskGen
-import repro.forecast.Forecaster
+import org.apache.spark.sql.functions.col
+import repro.core.{FlashP, ForecastTask, PipelineResult, SampleStore, TaskGen}
+import repro.sampling.GSW
 
 /** Exp-II / Figure 8: end-to-end response time, split into the aggregation
   * portion and the forecasting portion, for the full scan vs sample layers
   * of increasing size — the "sampling buys interactivity" claim.
   *
-  * Absolute times on a laptop-scale Spark differ from the paper's 30-node
-  * Hologres cluster; the claim that survives scaling is the ORDERING
-  * (full scan ≫ any sample layer; aggregation dominates ARIMA; LSTM
-  * fitting dominates everything else at small sample sizes).
+  * Every row goes through the path the product serves: `FlashP.runOnFull`
+  * for the full scan, and `SampleStore.add` + `FlashP.runOnSample` for the
+  * sample layers, which answer from their driver-resident copy.
   */
 object Exp2 {
 
-  final case class Row(config: String, sampleRows: Long, aggMs: Long,
-                       arimaMs: Long, lstmMs: Long)
+  final case class Row(config: String, sampleRows: Long, aggMs: Double,
+                       arimaMs: Double, lstmMs: Double)
 
   final case class Result(rows: Seq[Row], rendered: String)
-
-  private def timeMs[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1000000)
-  }
 
   def run(df: DataFrame, gen: TaskGen, cfg: BenchConfig): Result = {
     val task = gen.tasks(0.005, 1, ts = 0, te = cfg.trainDays - 1,
       measures = Seq("impression"), forePeriod = cfg.horizon).head
+
+    // Warm once (plan compilation, JIT), then take the best of 3 per model
+    // like the paper's interactive-latency measurements; the aggregation
+    // time is the best of all 6 timed runs.
+    def timed(label: String, sampleRows: Long, answer: ForecastTask => PipelineResult): Row = {
+      answer(task)
+      val arima = (1 to 3).map(_ => answer(task.copy(model = "arima")))
+      val lstm = (1 to 3).map(_ => answer(task.copy(model = "lstm")))
+      Row(label, sampleRows, (arima ++ lstm).map(_.aggMillis).min,
+        arima.map(_.forecastMillis).min, lstm.map(_.forecastMillis).min)
+    }
 
     // Mirror the deployment (§5): the FULL relation lives in the warehouse
     // (here: Parquet on local disk, MaxCompute's stand-in), while samples
     // are pulled into memory (Hologres's stand-in). Timing the full scan
     // from the in-memory cache would understate exactly the cost sampling
     // removes.
-    val warehouse = java.nio.file.Files
-      .createTempDirectory("flashp-warehouse").toString
-    df.write.mode("overwrite").parquet(warehouse)
-    val fullOnDisk = df.sparkSession.read.parquet(warehouse)
+    val warehouse = Files.createTempDirectory("flashp-warehouse")
+    val store = new SampleStore
+    try {
+      df.write.mode("overwrite").parquet(warehouse.toString)
+      val fullOnDisk = df.sparkSession.read.parquet(warehouse.toString)
+      val full = timed("Full(100%)", 0L, FlashP.runOnFull(_, fullOnDisk))
+      val samples = Seq(0.0002, 0.001, 0.01).map { paperRate =>
+        val r = cfg.scaledRate(paperRate)
+        val label = f"sample(paper ${paperRate * 100}%.2f%% -> ${r * 100}%.1f%%)"
+        val delta = GSW.deltaForRate(df, col("impression"), r)
+        val layer = store.add(label, GSW.optimal(delta, "impression"), df)
+        timed(label, layer.rows, FlashP.runOnSample(_, layer))
+      }
+      val rows = full +: samples
 
-    val layers: Seq[(String, SeriesMethod)] =
-      ("Full(100%)" -> Harness.fullMethod(fullOnDisk)) +:
-        Seq(0.0002, 0.001, 0.01).map { paperRate =>
-          val r = cfg.scaledRate(paperRate)
-          f"sample(paper ${paperRate * 100}%.2f%% -> ${r * 100}%.1f%%)" ->
-            Harness.optGswMethod(df, r, measures = Seq("impression"))
-        }
-
-    def bestOf3(f: Forecaster, series: Array[Double]): Long =
-      (1 to 3).map(_ => timeMs(f.fitForecast(series, cfg.horizon, 0.9))._2).min
-
-    val rows = layers.map { case (label, method) =>
-      // Warm once (plan compilation), then take the best of 3 like the
-      // paper's interactive-latency measurements.
-      method.estimate(task)
-      val aggMs = (1 to 3).map(_ => timeMs(method.estimate(task))._2).min
-      val series = method.estimate(task)
-      Row(label, method.spaceRows, aggMs,
-        arimaMs = bestOf3(Harness.arima, series),
-        lstmMs = bestOf3(Harness.lstm, series))
+      val rendered = Harness.renderTable(
+        "Exp-II (Fig 8): end-to-end response time split (one task, selectivity ~0.5%)",
+        Seq("layer", "sampleRows", "agg_ms", "arima_ms", "lstm_ms"),
+        rows.map(r => Seq(r.config, r.sampleRows.toString, f"${r.aggMs}%.3f",
+          f"${r.arimaMs}%.3f", f"${r.lstmMs}%.3f")))
+      Result(rows, rendered)
+    } finally {
+      store.clear()
+      deleteTree(warehouse)
     }
+  }
 
-    val rendered = Harness.renderTable(
-      "Exp-II (Fig 8): end-to-end response time split (one task, selectivity ~0.5%)",
-      Seq("layer", "sampleRows", "agg_ms", "arima_ms", "lstm_ms"),
-      rows.map(r => Seq(r.config, r.sampleRows.toString, r.aggMs.toString,
-        r.arimaMs.toString, r.lstmMs.toString)))
-    Result(rows, rendered)
+  private def deleteTree(dir: Path): Unit = {
+    val walk = Files.walk(dir)
+    try walk.sorted(java.util.Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))
+    finally walk.close()
   }
 }

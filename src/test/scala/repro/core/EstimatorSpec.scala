@@ -75,6 +75,23 @@ class EstimatorSpec extends SparkFunSpec {
     assert(s5.toSeq == full.slice(5, 10).toSeq)
   }
 
+  test("any integral time column: a LongType t gives the same series") {
+    def close(a: Array[Double], b: Array[Double]) =
+      a.length == b.length && a.indices.forall(i => math.abs(a(i) - b(i)) <= 1e-9 * b(i))
+    val longT = ad.withColumn("t", col("t").cast("long"))
+    assert(Estimator.exactSeries(longT, task).toSeq == Estimator.exactSeries(ad, task).toSeq)
+    val sampler = Uniform(0.5, Seq("impression"), seed = 2002)
+    val store = new SampleStore
+    val layer = store.add("long-t", sampler, longT)
+    val spark = Estimator.estimateSeries(layer.df, task)
+    assert(close(spark, Estimator.estimateSeries(sampler.sample(ad), task)))
+    assert(close(layer.columns.get.series(task), spark))
+    store.clear()
+    intercept[IllegalArgumentException] {
+      Estimator.exactSeries(ad.withColumn("t", col("t").cast("double")), task)
+    }
+  }
+
   test("futureTruth covers (te, te+forePeriod]") {
     val t2 = task.copy(ts = 0, te = 12, forePeriod = 7)
     val future = Estimator.futureTruth(ad, t2)

@@ -27,6 +27,18 @@ class PipelineSpec extends SparkFunSpec {
     assert(store.all.isEmpty)
   }
 
+  test("SampleStore: re-adding a layer name replaces and unpersists the old layer") {
+    val store = new SampleStore
+    val delta = GSW.deltaForRate(ad, col("impression"), 0.05)
+    val first = store.add("5%", GSW.optimal(delta, "impression", seed = 3006), ad)
+    val second = store.add("5%", GSW.optimal(delta, "impression", seed = 3007), ad)
+    assert(store.all.size == 1)
+    assert(store.get("5%").eq(second))
+    assert(first.df.storageLevel == org.apache.spark.storage.StorageLevel.NONE)
+    assert(second.df.storageLevel != org.apache.spark.storage.StorageLevel.NONE)
+    store.clear()
+  }
+
   test("SampleStore: unknown layer raises a helpful error") {
     val store = new SampleStore
     val e = intercept[NoSuchElementException] { store.get("nope") }
@@ -125,16 +137,17 @@ class PipelineSpec extends SparkFunSpec {
   }
 
   test("sampling reduces aggregation latency vs the full scan (Exp-II shape)") {
-    // On a tiny local fixture absolute times are noisy; assert the weak
-    // ordering over a few repetitions rather than a hard factor.
+    // The sample layer is answered on the driver with no Spark job, the
+    // full scan by a Spark aggregation; best of 3 each.
     val task = mkTask()
     val store = new SampleStore
     val delta = GSW.deltaForRate(ad, col("impression"), 0.01)
     val stored = store.add("1%", GSW.optimal(delta, "impression", seed = 3005), ad)
     val fullMs = (1 to 3).map(_ => FlashP.runOnFull(task, ad).aggMillis).min
     val sampMs = (1 to 3).map(_ => FlashP.runOnSample(task, stored).aggMillis).min
-    assert(sampMs <= fullMs * 3,
-      s"sample path ($sampMs ms) should not be slower than full scan ($fullMs ms) by 3x")
+    assert(sampMs > 0, "timings are recorded below a millisecond")
+    assert(sampMs * 10 <= fullMs,
+      s"sample path ($sampMs ms) should be at least 10x faster than the full scan ($fullMs ms)")
     store.clear()
   }
 

@@ -1,0 +1,118 @@
+package repro.core
+
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+import repro.{SparkFunSpec, TestData}
+import repro.data.AdSchema
+import repro.sampling._
+
+/** The driver-resident sample engine ([[SampleColumns]]) against its
+  * reference, [[Estimator.estimateSeries]] on Spark over the same cached
+  * layer: equal within 1e-9 relative per day, for every sampler, over
+  * TaskGen's constraint pool and the edge cases of the predicate semantics.
+  */
+class SampleColumnsSpec extends SparkFunSpec {
+
+  private lazy val ad = TestData.ad // 20 days × 1500 rows/day
+
+  private def assertSameSeries(layer: StoredSample, task: ForecastTask): Unit = {
+    val driver = layer.columns.get.series(task)
+    val spark = Estimator.estimateSeries(layer.df, task)
+    assert(driver.length == spark.length)
+    driver.indices.foreach { d =>
+      val tol = 1e-9 * math.max(math.abs(driver(d)), math.abs(spark(d)))
+      assert(math.abs(driver(d) - spark(d)) <= tol,
+        s"${task.sql}: day ${task.ts + d} driver ${driver(d)} vs Spark ${spark(d)}")
+    }
+  }
+
+  private def task(measure: String, c: Constraint, ts: Int = 0, te: Int = 19) =
+    ForecastTask(measure, "ad", c, ts, te)
+
+  private val ms = AdSchema.Measures
+  private def mean(ms: Seq[String]) = ms.map(col).reduce(_ + _) / ms.size
+  private def gmean(ms: Seq[String]) = exp(ms.map(m => log(col(m))).reduce(_ + _) / ms.size)
+
+  private lazy val samplers: Seq[(String, Sampler)] = Seq(
+    "Opt-GSW" -> GSW.optimal(GSW.deltaForRate(ad, col("impression"), 0.05), "impression", 4001),
+    "arithmetic GSW" -> GSW.arithmetic(GSW.deltaForRate(ad, mean(ms), 0.05), ms, 4002),
+    "geometric GSW" -> GSW.geometric(GSW.deltaForRate(ad, gmean(ms), 0.05), ms, 4003),
+    "Uniform" -> Uniform(0.05, ms, 4004),
+    "Priority" -> Priority(60, "impression", seed = 4005))
+
+  private lazy val pool = new TaskGen(ad, seed = 4006, poolSize = 48).pool
+
+  for (name <- Seq("Opt-GSW", "arithmetic GSW", "geometric GSW", "Uniform", "Priority"))
+    test(s"driver engine equals the Spark estimator over TaskGen's pool: $name") {
+      val store = new SampleStore
+      val sampler = samplers.toMap.apply(name)
+      val layer = store.add(name, sampler, ad)
+      pool.zipWithIndex.foreach { case (c, i) =>
+        assertSameSeries(layer, task(sampler.measures(i % sampler.measures.size), c))
+      }
+      store.clear()
+    }
+
+  test("driver engine equals the Spark estimator on edge cases") {
+    val store = new SampleStore
+    val layer = store.add("u", Uniform(0.2, ms, 4007), ad)
+    val cases = Seq(
+      task("click", Constraint(Nil)),
+      task("click", Constraint(Nil), ts = -3, te = 4),
+      task("cart", Constraint(Seq(Pred("gender", "=", "F", true))), ts = 15, te = 26),
+      task("favorite", Constraint(Seq(Pred("age", ">", "200", false)))),
+      task("impression", Constraint(Seq(Pred("device", "<>", "pc", true)))),
+      task("impression", Constraint(Seq(Pred("device", "<", "pc", true),
+        Pred("gender", ">=", "M", true)))),
+      task("impression", Constraint(Seq(Pred("device", ">=", "n", true)))),
+      task("click", Constraint(Seq(Pred("age", "<=", "30.5", false)))),
+      task("click", Constraint(Seq(Pred("age", ">", "3e1", false)))),
+      task("click", Constraint(Seq(Pred("age", "=", "30", true)))),
+      task("cart", Constraint(Seq(Pred("age", ">=", "30", false), Pred("age", "<", "40", false)))))
+    cases.foreach(assertSameSeries(layer, _))
+    store.clear()
+  }
+
+  test("driver engine equals the Spark estimator with null dimension values") {
+    val withNulls = ad
+      .withColumn("gender", when(col("age") < 30, lit(null).cast("string")).otherwise(col("gender")))
+      .withColumn("city", when(col("tag_food") === 1, lit(null).cast("int")).otherwise(col("city")))
+    val store = new SampleStore
+    val layer = store.add("nulls", Uniform(0.2, Seq("impression"), 4008), withNulls)
+    Seq(
+      Constraint(Seq(Pred("gender", "<>", "F", true))),
+      Constraint(Seq(Pred("gender", "<", "N", true))),
+      Constraint(Seq(Pred("city", "<=", "20", false), Pred("gender", "=", "M", true))),
+      Constraint(Seq(Pred("city", "<>", "3", false))),
+    ).foreach(c => assertSameSeries(layer, task("impression", c)))
+    store.clear()
+  }
+
+  test("a constraint on a column the driver copy does not hold is rejected") {
+    val store = new SampleStore
+    val layer = store.add("opt", samplers.head._2, ad)
+    val onMeasure = intercept[IllegalArgumentException] {
+      FlashP.runOnSample(task("impression",
+        Constraint(Seq(Pred("impression", ">", "5", false)))), layer)
+    }
+    assert(onMeasure.getMessage.contains("'impression'"), onMeasure.getMessage)
+    val otherMeasure = intercept[IllegalArgumentException] {
+      FlashP.runOnSample(task("click", Constraint(Nil)), layer)
+    }
+    assert(otherMeasure.getMessage.contains("'est_click'"), otherMeasure.getMessage)
+    val unquoted = intercept[IllegalArgumentException] {
+      layer.series(task("impression", Constraint(Seq(Pred("device", "=", "7", false)))))
+    }
+    assert(unquoted.getMessage.contains("'device'"), unquoted.getMessage)
+    store.clear()
+  }
+
+  test("a layer built without a driver copy is served by Spark") {
+    val df: DataFrame = Uniform(0.2, Seq("impression"), 4009).sample(ad).cache()
+    val layer = StoredSample("direct", Uniform(0.2, Seq("impression"), 4009), df, df.count())
+    val t = task("impression", Constraint(Seq(Pred("gender", "=", "F", true))))
+    assert(layer.columns.isEmpty)
+    assert(FlashP.runOnSample(t, layer).series.sameElements(Estimator.estimateSeries(df, t)))
+    df.unpersist()
+  }
+}
