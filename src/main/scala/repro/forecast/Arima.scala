@@ -1,6 +1,8 @@
 package repro.forecast
 
 import repro.num.LinAlg
+import scala.collection.mutable
+import scala.util.Try
 
 /** ARIMA(p,d,q) forecasting (§2.1 of the paper), fitted with the
   * Hannan–Rissanen two-stage conditional least-squares method and order
@@ -41,6 +43,27 @@ object Arima {
       * with a symmetric `level` confidence band.
       */
     def forecast(h: Int, level: Double = 0.9): Forecast = {
+      val point = pointForecast(h)
+      // ψ-weights of the integrated ARMA: AR polynomial φ*(B) = φ(B)(1−B)^d.
+      val phiStar = integrateAr(phi, order.d)
+      val psi = psiWeights(phiStar, theta, h)
+      val zq = LinAlg.normalQuantile(0.5 + level / 2)
+      val lo = new Array[Double](h)
+      val hi = new Array[Double](h)
+      var cum = 0.0
+      var s = 0
+      while (s < h) {
+        cum += psi(s) * psi(s)
+        val half = zq * math.sqrt(math.max(0.0, sigma2) * cum)
+        lo(s) = point(s) - half
+        hi(s) = point(s) + half
+        s += 1
+      }
+      Forecast(point, lo, hi)
+    }
+
+    /** The point forecasts of [[forecast]], without the band. */
+    private[forecast] def pointForecast(h: Int): Array[Double] = {
       require(h >= 1, "forecast horizon must be >= 1")
       val p = order.p; val q = order.q; val d = order.d
       val n = diffed.length
@@ -78,22 +101,7 @@ object Arima {
           step += 1
         }
       }
-      // ψ-weights of the integrated ARMA: AR polynomial φ*(B) = φ(B)(1−B)^d.
-      val phiStar = integrateAr(phi, d)
-      val psi = psiWeights(phiStar, theta, h)
-      val zq = LinAlg.normalQuantile(0.5 + level / 2)
-      val lo = new Array[Double](h)
-      val hi = new Array[Double](h)
-      var cum = 0.0
-      var s = 0
-      while (s < h) {
-        cum += psi(s) * psi(s)
-        val half = zq * math.sqrt(math.max(0.0, sigma2) * cum)
-        lo(s) = point(s) - half
-        hi(s) = point(s) + half
-        s += 1
-      }
-      Forecast(point, lo, hi)
+      point
     }
   }
 
@@ -139,64 +147,8 @@ object Arima {
   }
 
   /** Fit ARIMA(p,d,q) on `series` by Hannan–Rissanen conditional LS. */
-  def fit(series: Array[Double], order: Order): Fit = {
-    val Order(p, d, q) = order
-    val z = difference(series, d)
-    val n = z.length
-    require(n >= p + q + 8,
-      s"series too short (${series.length}) for $order: need ${p + q + 8 + d} points")
-
-    // Stage 1: long-AR residual proxies (only needed when q > 0).
-    val eHat = new Array[Double](n)
-    if (q > 0) {
-      val L = math.min(math.max(2 * (p + q), 4), n / 3)
-      val rows = (L until n).map(t => 1.0 +: (1 to L).map(i => z(t - i)).toArray)
-      val beta = LinAlg.lstsq(rows.map(_.toArray).toArray, (L until n).map(z).toArray, ridge = 1e-8)
-      var t = L
-      while (t < n) {
-        var pred = beta(0)
-        var i = 1
-        while (i <= L) { pred += beta(i) * z(t - i); i += 1 }
-        eHat(t) = z(t) - pred
-        t += 1
-      }
-    }
-
-    // Stage 2: OLS of z_t on [1, lags of z, lags of ê].
-    val burn = math.max(p, q) + (if (q > 0) math.min(math.max(2 * (p + q), 4), n / 3) else 0)
-    val start = math.max(burn, math.max(p, q))
-    val xs = (start until n).map { t =>
-      (1.0 +: (1 to p).map(i => z(t - i))) ++ (1 to q).map(j => eHat(t - j))
-    }.map(_.toArray).toArray
-    val ys = (start until n).map(z).toArray
-    val beta =
-      if (p == 0 && q == 0) Array(LinAlg.mean(z))
-      else LinAlg.lstsq(xs, ys, ridge = 1e-8)
-    val intercept = beta(0)
-    val phi = beta.slice(1, 1 + p)
-    val theta = beta.slice(1 + p, 1 + p + q)
-
-    // Stage 3: recursive residuals with the fitted model; σ² and AIC.
-    val resid = new Array[Double](n)
-    var t = 0
-    while (t < n) {
-      var pred = intercept
-      var i = 0
-      while (i < p) { val idx = t - 1 - i; if (idx >= 0) pred += phi(i) * z(idx); i += 1 }
-      var j = 0
-      while (j < q) { val idx = t - 1 - j; if (idx >= 0) pred += theta(j) * resid(idx); j += 1 }
-      resid(t) = z(t) - pred
-      t += 1
-    }
-    val warm = math.max(p, q)
-    val nEff = n - warm
-    var ss = 0.0
-    var k = warm
-    while (k < n) { ss += resid(k) * resid(k); k += 1 }
-    val sigma2 = if (nEff > 0) ss / nEff else 0.0
-    val aic = nEff * math.log(math.max(sigma2, 1e-300)) + 2.0 * (p + q + 1)
-    Fit(order, intercept, phi, theta, sigma2, aic, series.clone(), z, resid)
-  }
+  def fit(series: Array[Double], order: Order): Fit =
+    new OrderSearch(series, order.d, difference(series, order.d)).fit(order.p, order.q)
 
   /** Pick d with a crude stationarity rule (difference while the lag-1
     * autocorrelation stays near 1), then grid-search (p,q) by AIC —
@@ -210,31 +162,130 @@ object Arima {
       z = difference(z)
       d += 1
     }
+    val search = new OrderSearch(series, d, z)
+    var maxAbs = 0.0
+    var i = 0
+    while (i < series.length) { maxAbs = math.max(maxAbs, math.abs(series(i))); i += 1 }
+    val cap = 50.0 * (maxAbs + 1.0)
     var best: Fit = null
     var p = 0
     while (p <= maxP) {
       var q = 0
       while (q <= maxQ) {
-        if (p + q > 0 || d > 0) {
-          if (series.length - d >= p + q + 8) {
-            try {
-              val f = fit(series, Order(p, d, q))
-              if (forecastSane(f) && (best == null || f.aic < best.aic)) best = f
-            } catch { case _: IllegalArgumentException => () }
-          }
+        if ((p + q > 0 || d > 0) && series.length - d >= p + q + 8) {
+          try {
+            val f = search.fit(p, q)
+            if (forecastSane(f, cap) && (best == null || f.aic < best.aic)) best = f
+          } catch { case _: IllegalArgumentException => () }
         }
         q += 1
       }
       p += 1
     }
-    if (best == null) fit(series, Order(0, d, 0)) else best
+    if (best == null) search.fit(0, 0) else best
   }
 
-  /** Reject fits whose 7-step forecast explodes (non-stationary HR output). */
-  private def forecastSane(f: Fit): Boolean = {
-    val fc = f.forecast(7, 0.9)
-    val cap = 50.0 * (f.series.map(math.abs).max + 1.0)
-    fc.point.forall(v => java.lang.Double.isFinite(v) && math.abs(v) <= cap)
+  /** Reject fits whose 7-step forecast explodes past `cap` (non-stationary
+    * HR output).
+    */
+  private def forecastSane(f: Fit, cap: Double): Boolean = {
+    val point = f.pointForecast(7)
+    var i = 0
+    while (i < point.length) {
+      if (!(java.lang.Double.isFinite(point(i)) && math.abs(point(i)) <= cap)) return false
+      i += 1
+    }
+    true
+  }
+
+  /** Hannan–Rissanen fits of orders (p, d, q) on one series, whose d-times
+    * difference `z` is given. Stage 1 depends only on `z` and the long-AR
+    * length L, so its residual proxies — or its failure — are computed once
+    * per L and shared by every order that uses that L.
+    */
+  private final class OrderSearch(series: Array[Double], d: Int, z: Array[Double]) {
+    private val original = series.clone()
+    private val longAr = mutable.HashMap.empty[Int, Try[Array[Double]]]
+
+    def fit(p: Int, q: Int): Fit = {
+      val order = Order(p, d, q)
+      val n = z.length
+      require(n >= p + q + 8,
+        s"series too short (${series.length}) for $order: need ${p + q + 8 + d} points")
+
+      // Stage 1: long-AR residual proxies (only needed when q > 0).
+      val L = if (q > 0) math.min(math.max(2 * (p + q), 4), n / 3) else 0
+      val eHat = if (q > 0) longAr.getOrElseUpdate(L, Try(longArResiduals(L))).get else null
+
+      // Stage 2: OLS of z_t on [1, lags of z, lags of ê].
+      val beta =
+        if (p == 0 && q == 0) Array(LinAlg.mean(z))
+        else {
+          val eq = new LinAlg.NormalEquations(1 + p + q)
+          val row = new Array[Double](1 + p + q)
+          row(0) = 1.0
+          var t = math.max(p, q) + L
+          while (t < n) {
+            var i = 1
+            while (i <= p) { row(i) = z(t - i); i += 1 }
+            var j = 1
+            while (j <= q) { row(p + j) = eHat(t - j); j += 1 }
+            eq.add(row, z(t))
+            t += 1
+          }
+          eq.solve(ridge = 1e-8)
+        }
+      val intercept = beta(0)
+      val phi = beta.slice(1, 1 + p)
+      val theta = beta.slice(1 + p, 1 + p + q)
+
+      // Stage 3: recursive residuals with the fitted model; σ² and AIC.
+      val resid = new Array[Double](n)
+      var t = 0
+      while (t < n) {
+        var pred = intercept
+        var i = 0
+        while (i < p) { val idx = t - 1 - i; if (idx >= 0) pred += phi(i) * z(idx); i += 1 }
+        var j = 0
+        while (j < q) { val idx = t - 1 - j; if (idx >= 0) pred += theta(j) * resid(idx); j += 1 }
+        resid(t) = z(t) - pred
+        t += 1
+      }
+      val warm = math.max(p, q)
+      val nEff = n - warm
+      var ss = 0.0
+      var k = warm
+      while (k < n) { ss += resid(k) * resid(k); k += 1 }
+      val sigma2 = if (nEff > 0) ss / nEff else 0.0
+      val aic = nEff * math.log(math.max(sigma2, 1e-300)) + 2.0 * (p + q + 1)
+      Fit(order, intercept, phi, theta, sigma2, aic, original, z, resid)
+    }
+
+    /** Residuals ê_t (0 before t = L) of an OLS AR(L) fit with intercept. */
+    private def longArResiduals(L: Int): Array[Double] = {
+      val n = z.length
+      val eq = new LinAlg.NormalEquations(1 + L)
+      val row = new Array[Double](1 + L)
+      row(0) = 1.0
+      var t = L
+      while (t < n) {
+        var i = 1
+        while (i <= L) { row(i) = z(t - i); i += 1 }
+        eq.add(row, z(t))
+        t += 1
+      }
+      val beta = eq.solve(ridge = 1e-8)
+      val eHat = new Array[Double](n)
+      t = L
+      while (t < n) {
+        var pred = beta(0)
+        var i = 1
+        while (i <= L) { pred += beta(i) * z(t - i); i += 1 }
+        eHat(t) = z(t) - pred
+        t += 1
+      }
+      eHat
+    }
   }
 
   private[forecast] def lag1Autocorr(xs: Array[Double]): Double = {
@@ -256,6 +307,8 @@ object Arima {
 final case class ArimaForecaster(maxP: Int = 7, maxQ: Int = 2, maxD: Int = 1)
     extends Forecaster {
   override def name: String = "ARIMA"
-  override def fitForecast(series: Array[Double], horizon: Int, level: Double): Forecast =
+  override def fitForecast(series: Array[Double], horizon: Int, level: Double): Forecast = {
+    Forecaster.requireFinite(series)
     Arima.autoFit(series, maxP, maxQ, maxD).forecast(horizon, level)
+  }
 }

@@ -32,3 +32,16 @@ trait Forecaster {
     */
   def fitForecast(series: Array[Double], horizon: Int, level: Double = 0.9): Forecast
 }
+
+object Forecaster {
+
+  /** Reject a series holding NaN or ±∞, which every model here would turn
+    * into a silent NaN/∞ forecast.
+    *
+    * @throws IllegalArgumentException naming the first non-finite index.
+    */
+  def requireFinite(series: Array[Double]): Unit = {
+    val i = series.indexWhere(v => !java.lang.Double.isFinite(v))
+    require(i < 0, s"series value ${series(i)} at index $i is not finite")
+  }
+}

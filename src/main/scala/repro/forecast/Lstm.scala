@@ -24,6 +24,7 @@ final case class LstmForecaster(hidden: Int = 4, window: Int = 7,
   override def name: String = "LSTM"
 
   override def fitForecast(series: Array[Double], horizon: Int, level: Double): Forecast = {
+    Forecaster.requireFinite(series)
     require(series.length >= window + 4,
       s"LSTM needs at least ${window + 4} points, got ${series.length}")
     val sMin = series.min

@@ -3,9 +3,10 @@ package repro.num
 /** Tiny dense linear algebra used by the driver-side forecasters.
   *
   * Everything here operates on problems with at most a few dozen unknowns
-  * (ARMA orders are ≤ 3, LSTM weight matrices are 4×5), so plain
-  * `Array[Double]` + Gaussian elimination is the right tool — no external
-  * dependency, deterministic, and trivially fast.
+  * (ARIMA's grid is p ≤ 7, q ≤ 2, so a stage-2 regression has at most 10
+  * unknowns and a long-AR fit at most 19; LSTM weight matrices are 4×5), so
+  * plain `Array[Double]` + Gaussian elimination is the right tool — no
+  * external dependency, deterministic, and trivially fast.
   */
 object LinAlg {
 
@@ -17,8 +18,12 @@ object LinAlg {
   def solve(a: Array[Array[Double]], b: Array[Double]): Array[Double] = {
     val n = b.length
     require(a.length == n && a.forall(_.length == n), "solve: shape mismatch")
-    val m = Array.tabulate(n, n)((i, j) => a(i)(j))
-    val y = b.clone()
+    eliminate(Array.tabulate(n, n)((i, j) => a(i)(j)), b.clone())
+  }
+
+  /** [[solve]] on a matrix and right-hand side it may overwrite. */
+  private def eliminate(m: Array[Array[Double]], y: Array[Double]): Array[Double] = {
+    val n = y.length
     var col = 0
     while (col < n) {
       // Partial pivot: bring the largest |entry| in this column to the diagonal.
@@ -65,35 +70,55 @@ object LinAlg {
     * regressors solvable; default is effectively exact for well-posed fits.
     */
   def lstsq(x: Array[Array[Double]], y: Array[Double], ridge: Double = 1e-9): Array[Double] = {
-    val nRows = x.length
-    require(nRows == y.length && nRows > 0, "lstsq: shape mismatch")
-    val p = x(0).length
-    val xtx = Array.ofDim[Double](p, p)
-    val xty = new Array[Double](p)
+    require(x.length == y.length && x.nonEmpty, "lstsq: shape mismatch")
+    val eq = new NormalEquations(x(0).length)
     var r = 0
-    while (r < nRows) {
-      val row = x(r)
+    while (r < x.length) { eq.add(x(r), y(r)); r += 1 }
+    eq.solve(ridge)
+  }
+
+  /** The normal equations `XᵀX β = Xᵀy` of a least-squares problem with `k`
+    * unknowns, accumulated one row at a time so a caller can refill a single
+    * row buffer instead of materialising X. Only the upper triangle of XᵀX
+    * is summed; zero regressors are skipped.
+    */
+  final class NormalEquations(k: Int) {
+    private val xtx = new Array[Double](k * k)
+    private val xty = new Array[Double](k)
+    private var rows = 0
+
+    /** Add the row `row(0 until k)` with response `y`. */
+    def add(row: Array[Double], y: Double): Unit = {
       var i = 0
-      while (i < p) {
+      while (i < k) {
         val xi = row(i)
         if (xi != 0.0) {
           var j = i
-          while (j < p) { xtx(i)(j) += xi * row(j); j += 1 }
-          xty(i) += xi * y(r)
+          while (j < k) { xtx(i * k + j) += xi * row(j); j += 1 }
+          xty(i) += xi * y
         }
         i += 1
       }
-      r += 1
+      rows += 1
     }
-    // Mirror the upper triangle and apply the ridge.
-    var i = 0
-    while (i < p) {
-      xtx(i)(i) += ridge
-      var j = i + 1
-      while (j < p) { xtx(j)(i) = xtx(i)(j); j += 1 }
-      i += 1
+
+    /** Solve `(XᵀX + ridge·I) β = Xᵀy`; the accumulated sums are kept.
+      *
+      * @throws IllegalArgumentException if no row was added or the system is
+      *         numerically singular.
+      */
+    def solve(ridge: Double): Array[Double] = {
+      require(rows > 0, "lstsq: no rows")
+      val m = Array.ofDim[Double](k, k)
+      var i = 0
+      while (i < k) {
+        var j = i
+        while (j < k) { val v = xtx(i * k + j); m(i)(j) = v; m(j)(i) = v; j += 1 }
+        m(i)(i) += ridge
+        i += 1
+      }
+      eliminate(m, xty.clone())
     }
-    solve(xtx, xty)
   }
 
   /** Mean of a series. */

@@ -1,14 +1,17 @@
 package repro.forecast
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 import repro.num.LinAlg
-import scala.util.Random
+import scala.util.{Random, Try}
 
 /** Tests for the ARIMA forecaster: differencing/ψ-weight machinery, known
   * model recovery, AIC auto-selection, interval behaviour, and the paper's
-  * Proposition 1 (forecast variance under noisy estimates).
+  * Proposition 1 (forecast variance under noisy estimates), bit-identity
+  * with [[ArimaReference]], and the order search's allocation budget.
   */
-class ArimaSpec extends AnyFunSuite {
+class ArimaSpec extends AnyFunSuite with PropSupport {
 
   private def simulateArma(n: Int, alpha: Double, beta: Double, sigmaU: Double,
                            rng: Random, c: Double = 0.0): Array[Double] = {
@@ -24,6 +27,10 @@ class ArimaSpec extends AnyFunSuite {
     }
     y
   }
+
+  private def weeklySeasonal(n: Int, rng: Random): Array[Double] =
+    Array.tabulate(n)(t =>
+      1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * t / 7)) + rng.nextGaussian() * 20)
 
   // ---------- building blocks ----------
 
@@ -218,9 +225,7 @@ class ArimaSpec extends AnyFunSuite {
   }
 
   test("autoFit beats the naive mean forecaster on a weekly-seasonal series") {
-    val rng = new Random(15)
-    val y = Array.tabulate(150)(t =>
-      1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * t / 7)) + rng.nextGaussian() * 20)
+    val y = weeklySeasonal(150, new Random(15))
     val future = Array.tabulate(7)(h =>
       1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * (150 + h) / 7)))
     val fc = Arima.autoFit(y).forecast(7)
@@ -237,6 +242,102 @@ class ArimaSpec extends AnyFunSuite {
     val fc = ArimaForecaster().fitForecast(y, 7, 0.9)
     assert(fc.horizon == 7)
     assert((0 until 7).forall(h => fc.lo(h) <= fc.point(h) && fc.point(h) <= fc.hi(h)))
+  }
+
+  test("ArimaForecaster rejects a NaN or infinite value, naming its index") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val y = weeklySeasonal(150, new Random(19))
+      y(42) = bad
+      val e = intercept[IllegalArgumentException](ArimaForecaster().fitForecast(y, 7, 0.9))
+      assert(e.getMessage.contains("index 42"), e.getMessage)
+    }
+  }
+
+  // ---------- bit-identity with the reference search ----------
+
+  private def sameBits(a: Double, b: Double): Boolean =
+    java.lang.Double.doubleToLongBits(a) == java.lang.Double.doubleToLongBits(b)
+
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean =
+    a.length == b.length && a.indices.forall(i => sameBits(a(i), b(i)))
+
+  private def sameFit(a: Arima.Fit, b: Arima.Fit): Boolean = {
+    val fa = a.forecast(7, 0.9)
+    val fb = b.forecast(7, 0.9)
+    a.order == b.order && sameBits(a.intercept, b.intercept) &&
+      sameBits(a.phi, b.phi) && sameBits(a.theta, b.theta) &&
+      sameBits(a.sigma2, b.sigma2) && sameBits(a.aic, b.aic) &&
+      sameBits(a.residuals, b.residuals) && sameBits(fa.point, fb.point) &&
+      sameBits(fa.lo, fb.lo) && sameBits(fa.hi, fb.hi)
+  }
+
+  /** Both calls fail with the same exception, or both fit bit-identically. */
+  private def sameOutcome(got: Try[Arima.Fit], want: Try[Arima.Fit]): Boolean =
+    (got.toEither, want.toEither) match {
+      case (Right(a), Right(b)) => sameFit(a, b)
+      case (Left(a), Left(b))   => a.getClass == b.getClass && a.getMessage == b.getMessage
+      case _                    => false
+    }
+
+  /** Kinds of daily series the order search meets: 0 weekly-seasonal with a
+    * trend, 1 random walk, 2 mostly-zero days, 3 constant, 4 AR(2).
+    */
+  private def series(kind: Int, n: Int, seed: Long): Array[Double] = {
+    val rng = new Random(seed)
+    kind match {
+      case 0 => Array.tabulate(n)(t => (1.0 + 0.002 * t) * 1000.0 *
+                  (1 + 0.3 * math.sin(2 * math.Pi * t / 7)) + rng.nextGaussian() * 20)
+      case 1 => Array.iterate(100.0, n)(_ + rng.nextGaussian() * 5)
+      case 2 => Array.fill(n)(if (rng.nextDouble() < 0.6) 0.0 else rng.nextInt(50).toDouble)
+      case 3 => Array.fill(n)(42.0 + rng.nextInt(3))
+      case _ =>
+        val y = new Array[Double](n)
+        for (t <- 2 until n) y(t) = 0.5 * y(t - 1) + 0.3 * y(t - 2) + rng.nextGaussian()
+        y
+    }
+  }
+
+  test("autoFit and fit are bit-identical to the reference search (property)") {
+    val cases = for {
+      maxP  <- Gen.choose(0, 8)
+      maxQ  <- Gen.choose(0, 2)
+      maxD  <- Gen.choose(0, 2)
+      kind  <- Gen.choose(0, 4)
+      // "short" sits just above the p + q + 8 points the largest order needs.
+      n     <- Gen.oneOf(Gen.choose(maxP + maxQ + 9, maxP + maxQ + 12), Gen.choose(20, 160))
+      seed  <- Gen.choose(0L, 1L << 40)
+      p     <- Gen.choose(0, maxP)
+      q     <- Gen.choose(0, maxQ)
+      d     <- Gen.choose(0, maxD)
+    } yield (maxP, maxQ, maxD, kind, n, seed, Arima.Order(p, d, q))
+    checkProp(Prop.forAllNoShrink(cases) { case (maxP, maxQ, maxD, kind, n, seed, order) =>
+      val y = series(kind, n, seed)
+      sameOutcome(Try(Arima.autoFit(y, maxP, maxQ, maxD)),
+                  Try(ArimaReference.autoFit(y, maxP, maxQ, maxD))) &&
+        sameOutcome(Try(Arima.fit(y, order)), Try(ArimaReference.fit(y, order)))
+    }, minTests = 300)
+  }
+
+  test("fit is bit-identical to the reference for every order of the default grid") {
+    val y = weeklySeasonal(150, new Random(20))
+    for (p <- 0 to 7; d <- 0 to 1; q <- 0 to 2) {
+      val order = Arima.Order(p, d, q)
+      assert(sameOutcome(Try(Arima.fit(y, order)), Try(ArimaReference.fit(y, order))), order)
+    }
+  }
+
+  test("autoFit allocates under 1.5 MB on a 150-day seasonal series") {
+    val y = weeklySeasonal(150, new Random(21))
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val id = Thread.currentThread().getId
+    for (_ <- 1 to 5) Arima.autoFit(y)
+    val before = threads.getThreadAllocatedBytes(id)
+    Arima.autoFit(y)
+    val bytes = threads.getThreadAllocatedBytes(id) - before
+    assert(before > 0, "per-thread allocation accounting is unavailable")
+    info(s"autoFit allocated $bytes bytes")
+    assert(bytes < 1500000L, s"autoFit allocated $bytes bytes")
   }
 
   // ---------- Proposition 1 ----------

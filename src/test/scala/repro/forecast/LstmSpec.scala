@@ -116,4 +116,13 @@ class LstmSpec extends AnyFunSuite {
       LstmForecaster().fitForecast(Array.fill(8)(1.0), 3, 0.9)
     }
   }
+
+  test("a NaN or infinite value is rejected, naming its index") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val y = Array.tabulate(150)(t => 100.0 + 10 * math.sin(2 * math.Pi * t / 7))
+      y(17) = bad
+      val e = intercept[IllegalArgumentException](LstmForecaster().fitForecast(y, 7, 0.9))
+      assert(e.getMessage.contains("index 17"), e.getMessage)
+    }
+  }
 }
