@@ -1,8 +1,9 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-import repro.core.TaskGen
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.{FlashP, SampleStore, TaskGen, TaskParser}
 import repro.exp._
+import repro.sampling.GSW
 
 /** Shared bootstrap for the spark-submit entrypoints: one local (or
   * cluster-provided) session, bench-scale data, workload generator and
@@ -10,8 +11,7 @@ import repro.exp._
   * understood by [[repro.exp.BenchConfig]].
   */
 object JobEnv {
-  def init(appName: String): (SparkSession, BenchConfig,
-      org.apache.spark.sql.DataFrame, TaskGen, SeriesCache) = {
+  def init(appName: String): (SparkSession, BenchConfig, DataFrame, TaskGen, SeriesCache) = {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
@@ -25,57 +25,35 @@ object JobEnv {
   }
 }
 
-/** `spark-submit --class repro.jobs.RunTable1 <jar>` — prints Table 1. */
-object RunTable1 {
+/** Prints one paper artefact, e.g.
+  * {{{
+  * spark-submit --class repro.jobs.Run <jar> table1
+  * }}}
+  * `table1` is Table 1 (Exp-I), `exp2`–`exp5` are Figs 8, 9, 10–15 and 16,
+  * `fig6` is Figure 6.
+  */
+object Run {
+  private val Experiments = Seq[(String, (DataFrame, TaskGen, SeriesCache, BenchConfig) => String)](
+    ("table1", Table1.run(_, _, _, _).rendered),
+    ("exp2", (df, gen, _, cfg) => Exp2.run(df, gen, cfg).rendered),
+    ("exp3", Exp3.run(_, _, _, _).rendered),
+    ("exp4", Exp4.run(_, _, _, _).rendered),
+    ("exp5", Exp5.run(_, _, _, _).rendered),
+    ("fig6", Fig6.run(_, _, _, _).rendered))
+
   def main(args: Array[String]): Unit = {
-    val (spark, cfg, df, gen, cache) = JobEnv.init("flashp-table1")
-    println(Table1.run(df, gen, cache, cfg).rendered)
+    val (name, experiment) = args match {
+      case Array(name) => Experiments.find(_._1 == name).getOrElse(usage())
+      case _ => usage()
+    }
+    val (spark, cfg, df, gen, cache) = JobEnv.init(s"flashp-$name")
+    println(experiment(df, gen, cache, cfg))
     spark.stop()
   }
-}
 
-/** Figure 8 (Exp-II): response-time split. */
-object RunExp2 {
-  def main(args: Array[String]): Unit = {
-    val (spark, cfg, df, gen, _) = JobEnv.init("flashp-exp2")
-    println(Exp2.run(df, gen, cfg).rendered)
-    spark.stop()
-  }
-}
-
-/** Figure 9 (Exp-III): forecast error vs training days. */
-object RunExp3 {
-  def main(args: Array[String]): Unit = {
-    val (spark, cfg, df, gen, cache) = JobEnv.init("flashp-exp3")
-    println(Exp3.run(df, gen, cache, cfg).rendered)
-    spark.stop()
-  }
-}
-
-/** Figures 10–15 (Exp-IV): error vs sampler × rate × selectivity. */
-object RunExp4 {
-  def main(args: Array[String]): Unit = {
-    val (spark, cfg, df, gen, cache) = JobEnv.init("flashp-exp4")
-    println(Exp4.run(df, gen, cache, cfg).rendered)
-    spark.stop()
-  }
-}
-
-/** Figure 16 (Exp-V): space cost under equal accuracy. */
-object RunExp5 {
-  def main(args: Array[String]): Unit = {
-    val (spark, cfg, df, gen, cache) = JobEnv.init("flashp-exp5")
-    println(Exp5.run(df, gen, cache, cfg).rendered)
-    spark.stop()
-  }
-}
-
-/** Figure 6: measure grouping vs L1 distance. */
-object RunFig6 {
-  def main(args: Array[String]): Unit = {
-    val (spark, cfg, df, gen, cache) = JobEnv.init("flashp-fig6")
-    println(Fig6.run(df, gen, cache, cfg).rendered)
-    spark.stop()
+  private def usage(): Nothing = {
+    Console.err.println(s"usage: Run <${Experiments.map(_._1).mkString("|")}>")
+    sys.exit(2)
   }
 }
 
@@ -90,14 +68,11 @@ object RunForecast {
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: RunForecast '<FORECAST statement>' [samplingRate]")
     val (spark, cfg, df, _, _) = JobEnv.init("flashp-forecast")
-    val task = repro.core.TaskParser.parse(args(0))
+    val task = TaskParser.parse(args(0))
     val rate = if (args.length > 1) args(1).toDouble else 0.05
-    val store = new repro.core.SampleStore
-    val delta = repro.sampling.GSW.deltaForRate(
-      df, org.apache.spark.sql.functions.col(task.measure), rate)
-    val layer = store.add(f"$rate%.3f",
-      repro.sampling.GSW.optimal(delta, task.measure), df)
-    val res = repro.core.FlashP.runOnSample(task, layer)
+    val store = new SampleStore
+    val layer = store.add(f"$rate%.3f", GSW.atRate(df, rate)(GSW.optimal(_, task.measure)), df)
+    val res = FlashP.runOnSample(task, layer)
     println(s"task: ${task.sql}")
     println(s"sample rows: ${layer.rows} (rate ≈ $rate)")
     println(f"agg: ${res.aggMillis}%.3f ms, forecast: ${res.forecastMillis}%.3f ms")

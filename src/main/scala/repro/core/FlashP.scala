@@ -59,6 +59,20 @@ final class SampleStore {
 
   def all: Seq[StoredSample] = layers
 
+  /** The one layer whose sampler carries `est_<measure>`.
+    *
+    * @throws IllegalArgumentException if no layer carries it, or several do
+    */
+  def serving(measure: String): StoredSample =
+    layers.filter(_.sampler.measures.contains(measure)) match {
+      case Seq(layer) => layer
+      case found => throw new IllegalArgumentException(
+        s"${found.size} sample layers serve '$measure', need exactly 1; layers: " +
+          (if (layers.isEmpty) "none"
+           else layers.map(l => s"${l.layer} [${l.sampler.measures.mkString(", ")}]")
+             .mkString("; ")))
+    }
+
   def clear(): Unit = { layers.foreach(_.df.unpersist()); layers = Vector.empty }
 }
 

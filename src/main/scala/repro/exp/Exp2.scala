@@ -2,7 +2,6 @@ package repro.exp
 
 import java.nio.file.{Files, Path}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.core.{FlashP, ForecastTask, PipelineResult, SampleStore, TaskGen}
 import repro.sampling.GSW
 
@@ -50,8 +49,7 @@ object Exp2 {
       val samples = Seq(0.0002, 0.001, 0.01).map { paperRate =>
         val r = cfg.scaledRate(paperRate)
         val label = f"sample(paper ${paperRate * 100}%.2f%% -> ${r * 100}%.1f%%)"
-        val delta = GSW.deltaForRate(df, col("impression"), r)
-        val layer = store.add(label, GSW.optimal(delta, "impression"), df)
+        val layer = store.add(label, GSW.atRate(df, r)(GSW.optimal(_, "impression")), df)
         timed(label, layer.rows, FlashP.runOnSample(_, layer))
       }
       val rows = full +: samples

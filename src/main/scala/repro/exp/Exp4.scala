@@ -2,6 +2,8 @@ package repro.exp
 
 import org.apache.spark.sql.DataFrame
 import repro.core.{Metrics, TaskGen}
+import repro.data.AdSchema
+import repro.sampling.{GSW, Priority, Uniform}
 
 /** Exp-IV / Figures 10–15: aggregation error, ARIMA forecast error, ARIMA
   * 90 % interval width, and (on a subset) LSTM forecast error, for every
@@ -34,16 +36,18 @@ object Exp4 {
     val rows = Seq.newBuilder[Row]
     for (paperRate <- paperRates) {
       val rate = cfg.scaledRate(paperRate)
-      val samplers = Seq[(String, SeriesMethod)](
-        "Uniform" -> Harness.uniformMethod(df, rate),
-        "Priority" -> Harness.priorityMethod(df, rate, rowsPerDay, measures = measures),
-        "Opt-GSW" -> Harness.optGswMethod(df, rate, measures = measures),
-        "C-GSW(arith)" -> Harness.cGswMethod(df, rate),
-        "C-GSW(geom)" -> Harness.gGswMethod(df, rate))
-      for {
+      val k = math.max(2, (rate * rowsPerDay).round.toInt) // priority sample rows per day
+      val stores = Seq(
+        "Uniform" -> Seq(Uniform(rate, AdSchema.Measures)),
+        "Priority" -> measures.map(Priority(k, _)),
+        "Opt-GSW" -> measures.map(m => GSW.atRate(df, rate)(GSW.optimal(_, m))),
+        "C-GSW(arith)" -> Seq(GSW.atRate(df, rate)(GSW.arithmetic(_, AdSchema.Measures))),
+        "C-GSW(geom)" -> Seq(GSW.atRate(df, rate)(GSW.geometric(_, AdSchema.Measures))))
+        .map { case (name, samplers) => name -> Harness.store(df, samplers) }
+      try for {
         meas <- measures
         sel <- selectivities
-        (name, method) <- samplers
+        (name, store) <- stores
       } {
         val tasks = gen.tasks(sel, cfg.tasksPerPoint, ts = 0, te = te,
           measures = Seq(meas), forePeriod = cfg.horizon)
@@ -51,18 +55,15 @@ object Exp4 {
         // keep bench runtime bounded.
         val withLstm = meas == "favorite" && sel == 0.05
         val evals = tasks.map { t =>
-          val exact = cache.exact(t)
           val truth = cache.truth(t)
-          val est = method.estimate(t)
-          val fc = Harness.arima.fitForecast(est, cfg.horizon, 0.9)
+          val r = Harness.answer(store)(t)
           val lstmErr =
-            if (withLstm)
-              Metrics.relForecastError(
-                Harness.lstm.fitForecast(est, cfg.horizon, 0.9).point, truth)
+            if (withLstm) Metrics.relForecastError(
+              Harness.answer(store)(t.copy(model = "lstm")).forecast.point, truth)
             else Double.NaN
-          (Metrics.relAggError(est, exact),
-            Metrics.relForecastError(fc.point, truth),
-            Metrics.relIntervalWidth(fc, truth),
+          (Metrics.relAggError(r.series, cache.exact(t)),
+            Metrics.relForecastError(r.forecast.point, truth),
+            Metrics.relIntervalWidth(r.forecast, truth),
             lstmErr)
         }
         rows += Row(meas, sel, paperRate, name,
@@ -70,8 +71,7 @@ object Exp4 {
           fcErr = mean(evals.map(_._2)),
           width = mean(evals.map(_._3)),
           lstmErr = if (withLstm) mean(evals.map(_._4)) else Double.NaN)
-      }
-      samplers.foreach(_._2.close())
+      } finally stores.foreach(_._2.clear())
     }
 
     val out = rows.result()

@@ -1,9 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import repro.core.{Metrics, TaskGen}
+import repro.core.{Metrics, PipelineResult, SampleStore, TaskGen}
 import repro.data.AdSchema
+import repro.sampling.GSW
 
 /** Exp-V / Figure 16: space needed by per-measure Optimal GSW samples to
   * match the aggregation accuracy of ONE arithmetic compressed GSW sample.
@@ -24,7 +24,6 @@ object Exp5 {
 
   def run(df: DataFrame, gen: TaskGen, cache: SeriesCache, cfg: BenchConfig): Result = {
     val te = cfg.trainDays - 1
-    val n = df.count().toDouble
     def mean(xs: Seq[Double]) = xs.sum / xs.size
 
     // Tasks: selectivity 5%, one batch per measure.
@@ -33,50 +32,54 @@ object Exp5 {
         measures = Seq(m), forePeriod = cfg.horizon)
     }.toMap
 
-    def aggErrOf(method: SeriesMethod, m: String): Double =
-      mean(tasksOf(m).map(t => Metrics.relAggError(method.estimate(t), cache.exact(t))))
-    def fcErrOf(method: SeriesMethod, m: String): Double =
-      mean(tasksOf(m).map { t =>
-        Metrics.relForecastError(
-          Harness.arima.fitForecast(method.estimate(t), cfg.horizon, 0.9).point,
-          cache.truth(t))
-      })
+    def answers(store: SampleStore, m: String): Seq[PipelineResult] =
+      tasksOf(m).map(Harness.answer(store))
+    def aggErr(rs: Seq[PipelineResult]): Double =
+      mean(rs.map(r => Metrics.relAggError(r.series, cache.exact(r.task))))
+    def fcErr(rs: Seq[PipelineResult]): Double =
+      mean(rs.map(r => Metrics.relForecastError(r.forecast.point, cache.truth(r.task))))
+    def spaceRows(store: SampleStore): Long = store.all.map(_.rows).sum
 
     val rows = Seq(0.001, 0.005, 0.01).map { paperRate =>
       val rate = cfg.scaledRate(paperRate)
-      val cGsw = Harness.cGswMethod(df, rate)
-      val cErrs = AdSchema.Measures.map(m => m -> aggErrOf(cGsw, m)).toMap
-      val cFc = mean(AdSchema.Measures.map(m => fcErrOf(cGsw, m)))
+      val cGsw = Harness.store(df,
+        Seq(GSW.atRate(df, rate)(GSW.arithmetic(_, AdSchema.Measures))))
+      val cAnswers = AdSchema.Measures.map(m => m -> answers(cGsw, m)).toMap
+      val cErrs = cAnswers.view.mapValues(aggErr).toMap
+      val cFc = mean(AdSchema.Measures.map(m => fcErr(cAnswers(m))))
 
       // Per measure: find the Opt-GSW rate matching the compressed error.
       val matched = AdSchema.Measures.map { m =>
+        def optAt(r: Double) = Harness.store(df, Seq(GSW.atRate(df, r)(GSW.optimal(_, m))))
         var r = rate
-        var method = Harness.optGswMethod(df, r, measures = Seq(m))
-        var err = aggErrOf(method, m)
+        var opt = optAt(r)
+        var rs = answers(opt, m)
+        var err = aggErr(rs)
         var steps = 0
         while (steps < 2 && err > 0 && cErrs(m) > 0 &&
                math.abs(math.log(err / cErrs(m))) > 0.05) {
-          method.close()
+          opt.clear()
           // err ∝ 1/sqrt(size): rescale the rate by (err/target)².
           r = math.min(0.6, r * (err / cErrs(m)) * (err / cErrs(m)))
-          method = Harness.optGswMethod(df, r, measures = Seq(m))
-          err = aggErrOf(method, m)
+          opt = optAt(r)
+          rs = answers(opt, m)
+          err = aggErr(rs)
           steps += 1
         }
-        val out = (m, method.spaceRows, fcErrOf(method, m))
-        method.close()
+        val out = (m, spaceRows(opt), fcErr(rs))
+        opt.clear()
         out
       }
       val optTotal = matched.map(_._2).sum
       val row = Row(paperRate,
-        cGswRows = cGsw.spaceRows,
+        cGswRows = spaceRows(cGsw),
         cGswMaxErr = cErrs.values.max,
         optRowsPerMeasure = matched.map(t => t._1 -> t._2).toMap,
         optTotalRows = optTotal,
-        spaceRatio = optTotal.toDouble / cGsw.spaceRows,
+        spaceRatio = optTotal.toDouble / spaceRows(cGsw),
         cGswFcErr = cFc,
         optFcErr = mean(matched.map(_._3)))
-      cGsw.close()
+      cGsw.clear()
       row
     }
 

@@ -1,9 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.core.{Metrics, TaskGen}
-import repro.sampling.Grouping
+import repro.sampling.{GSW, Grouping}
 
 /** Figure 6 (§4.2): for each of the three ways to split the four measures
   * into two pairs, the L1 distance between each measure and its group's
@@ -29,19 +28,20 @@ object Fig6 {
 
     val rows = for {
       grouping <- Groupings
-      group <- grouping
       label = grouping.map(_.map(_.take(3)).mkString("+")).mkString(" / ")
-      weight = group.map(col).reduce(_ + _) / group.size
-      method = Harness.cGswMethod(df, rate, measures = group)
-      measure <- group
-    } yield {
-      val tasks = gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
-        measures = Seq(measure), forePeriod = cfg.horizon)
-      val err = mean(tasks.map(t =>
-        Metrics.relAggError(method.estimate(t), cache.exact(t))))
-      val row = Row(label, measure, Grouping.l1ToWeight(df, measure, weight), err)
-      row
-    }
+      group <- grouping
+      row <- {
+        val sampler = GSW.atRate(df, rate)(GSW.arithmetic(_, group))
+        val store = Harness.store(df, Seq(sampler))
+        try group.map { measure =>
+          val tasks = gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
+            measures = Seq(measure), forePeriod = cfg.horizon)
+          val err = mean(tasks.map(t =>
+            Metrics.relAggError(Harness.answer(store)(t).series, cache.exact(t))))
+          Row(label, measure, Grouping.l1ToWeight(df, measure, sampler.weight), err)
+        } finally store.clear()
+      }
+    } yield row
 
     val rendered = Harness.renderTable(
       "Fig 6: grouping choice — L1(measure, group weight) vs aggregation error " +

@@ -1,8 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{ForecastTask, TaskGen}
+import repro.core.{FlashP, ForecastTask, Metrics, PIM, PipelineResult, TaskGen}
 import repro.data.AdSchema
+import repro.sampling.{GSW, Uniform}
 
 /** Exp-I / Table 1: average ARIMA forecast error per measure for
   * Full / PIM / Uniform / Opt-GSW / Arithmetic-compressed-GSW at the
@@ -31,33 +32,31 @@ object Table1 {
         t.copy(measure = AdSchema.Measures(i % AdSchema.Measures.size))
       }
 
-    val methods = Seq(
-      Harness.fullMethod(df),
-      Harness.pimMethod(df),
-      Harness.uniformMethod(df, rate),
-      Harness.optGswMethod(df, rate),
-      Harness.cGswMethod(df, rate))
+    // Full and PIM answer from the relation and its cube; each sampling
+    // method from its own store of layers.
+    val pim = new PIM(df, AdSchema.Measures, AdSchema.Dimensions)
+    val stores = Seq(
+      "Uniform" -> Seq(Uniform(rate, AdSchema.Measures)),
+      "Opt-GSW" -> AdSchema.Measures.map(m => GSW.atRate(df, rate)(GSW.optimal(_, m))),
+      "C-GSW" -> Seq(GSW.atRate(df, rate)(GSW.arithmetic(_, AdSchema.Measures))))
+      .map { case (name, samplers) => name -> Harness.store(df, samplers) }
+    val methods = Seq[(String, ForecastTask => PipelineResult)](
+      ("Full", FlashP.runOnFull(_, df)), ("PIM", FlashP.runOnPim(_, pim))) ++
+      stores.map { case (name, store) => (name, Harness.answer(store) _) }
 
-    // errs(method)(measure) = forecast errors across that measure's tasks
-    val errs = methods.map(m => m.name -> AdSchema.Measures.map(_ ->
-      scala.collection.mutable.ArrayBuffer.empty[Double]).toMap).toMap
-    for (task <- tasks) {
-      val exact = cache.exact(task)
-      val truth = cache.truth(task)
-      for (m <- methods) {
-        val e = Harness.evaluate(m, task, exact, truth, Harness.arima)
-        errs(m.name)(task.measure) += e.fcErr
-      }
-    }
+    // errs((method, measure)) = forecast errors across that measure's tasks
+    val errs = try (for (task <- tasks; (name, answer) <- methods) yield
+      (name, task.measure) ->
+        Metrics.relForecastError(answer(task).forecast.point, cache.truth(task)))
+      .groupMap(_._1)(_._2)
+    finally stores.foreach(_._2.clear())
 
-    def mean(xs: Seq[Double]): Double = if (xs.isEmpty) Double.NaN else xs.sum / xs.size
+    def mean(method: String, meas: String): Double =
+      errs.get((method, meas)).fold(Double.NaN)(xs => xs.sum / xs.size)
     val rows = AdSchema.Measures.map { meas =>
-      Row(meas,
-        full = mean(errs("Full")(meas).toSeq),
-        pim = mean(errs("PIM")(meas).toSeq),
-        uniform = mean(errs("Uniform")(meas).toSeq),
-        optGsw = mean(errs("Opt-GSW")(meas).toSeq),
-        cGsw = mean(errs("C-GSW")(meas).toSeq))
+      Row(meas, full = mean("Full", meas), pim = mean("PIM", meas),
+        uniform = mean("Uniform", meas), optGsw = mean("Opt-GSW", meas),
+        cGsw = mean("C-GSW", meas))
     }
 
     val rendered = Harness.renderTable(

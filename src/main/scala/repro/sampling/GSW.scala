@@ -26,7 +26,8 @@ import org.apache.spark.sql.functions._
   * re-reading the base table (see [[IncrementalGSW]]).
   *
   * @param delta      the Δ knob: larger Δ ⇒ smaller sample
-  * @param weight     sampling-weight expression (must be > 0 on every row)
+  * @param weight     sampling-weight expression; [[sample]] fails on a row
+  *                   where it is null, NaN or ≤ 0
   * @param weightName display name of the weight choice for bench tables
   * @param ms         measures to carry calibrated estimate columns for
   * @param seed       deterministic seed for the per-row uniform draws. Must
@@ -42,15 +43,25 @@ final case class GSW(delta: Double, weight: Column, weightName: String,
   override def name: String = f"GSW($weightName, Δ=$delta%.1f)"
   override def measures: Seq[String] = ms
 
+  /** Draw the sample.
+    *
+    * @throws org.apache.spark.SparkRuntimeException when the sample is
+    *         evaluated, if any row's weight is null, NaN or ≤ 0 (e.g. a
+    *         geometric weight over a zero measure, since Spark's `log(0)` is
+    *         NULL): such a row could never be drawn, or would be drawn with
+    *         probability > 1, biasing every estimate without an error
+    */
   override def sample(df: DataFrame): DataFrame = {
+    val w = weight.cast("double")
+    // A literal message: formatting the bad value would cost every query
+    // that samples a few tens of ms of code generation.
+    val checked = when(w.isNull || w.isNaN || w <= 0, raise_error(
+      lit(s"$name: a sampling weight is null, NaN or <= 0; it must be positive"))).otherwise(w)
     val drawn = df
-      .withColumn(GSW.WeightCol, weight.cast("double"))
+      .withColumn(GSW.WeightCol, checked)
       .withColumn(GSW.DrawCol, rand(seed))
       .filter(col(GSW.DrawCol) <= col(GSW.WeightCol) / (col(GSW.WeightCol) + delta))
-    ms.foldLeft(drawn) { (acc, m) =>
-      acc.withColumn(Sampler.estCol(m),
-        col(m) * (col(GSW.WeightCol) + delta) / col(GSW.WeightCol))
-    }
+    GSW.withEstimates(drawn, delta, ms)
   }
 }
 
@@ -61,6 +72,22 @@ object GSW {
 
   /** Stored uniform draw `p_i` of each sampled row (for Δ→Δ′ maintenance). */
   val DrawCol = "gsw_p"
+
+  /** Add each measure's calibrated column `m·(Δ+w)/w` to a sample drawn (or
+    * thinned) at threshold Δ, from the stored weight [[WeightCol]].
+    */
+  private[sampling] def withEstimates(sample: DataFrame, delta: Double,
+                                      ms: Seq[String]): DataFrame =
+    ms.foldLeft(sample) { (acc, m) =>
+      acc.withColumn(Sampler.estCol(m), col(m) * (col(WeightCol) + delta) / col(WeightCol))
+    }
+
+  /** The sampler `make(Δ)` with Δ chosen by [[deltaForRate]] so its expected
+    * sample size is ≈ `rate × |df|`, e.g.
+    * `GSW.atRate(df, 0.01)(GSW.optimal(_, "click"))`.
+    */
+  def atRate(df: DataFrame, rate: Double)(make: Double => GSW): GSW =
+    make(deltaForRate(df, make(1.0).weight, rate))
 
   /** Optimal GSW sampler (§4.1.2): weights equal the measure itself, giving
     * the (1,1)-consistent bound of Corollary 4. One sample per measure.

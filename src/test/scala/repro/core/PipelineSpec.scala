@@ -45,6 +45,39 @@ class PipelineSpec extends SparkFunSpec {
     assert(e.getMessage.contains("nope"))
   }
 
+  test("SampleStore.serving: the one layer carrying the measure") {
+    val store = new SampleStore
+    val imp = GSW.optimal(500, "impression", seed = 3008)
+    val clk = GSW.optimal(50, "click", seed = 3009)
+    store.add("imp", imp, ad)
+    val clicks = store.add("clk", clk, ad)
+    assert(store.serving("click").eq(clicks))
+    assert(store.serving("impression").layer == "imp")
+    store.clear()
+  }
+
+  test("SampleStore.serving: a measure no layer carries is rejected, naming the layers") {
+    val store = new SampleStore
+    store.add("imp", GSW.optimal(500, "impression", seed = 3010), ad)
+    val e = intercept[IllegalArgumentException] { store.serving("cart") }
+    assert(e.getMessage.contains("'cart'") && e.getMessage.contains("imp [impression]"))
+    store.clear()
+    val empty = intercept[IllegalArgumentException] { store.serving("cart") }
+    assert(empty.getMessage.contains("none"))
+  }
+
+  test("SampleStore.serving: two layers carrying the measure are ambiguous") {
+    val store = new SampleStore
+    val ms = repro.data.AdSchema.Measures
+    store.add("opt", GSW.optimal(500, "impression", seed = 3011), ad)
+    store.add("amean", GSW.arithmetic(500, ms, seed = 3012), ad)
+    val e = intercept[IllegalArgumentException] { store.serving("impression") }
+    assert(e.getMessage.contains("2 sample layers") &&
+      e.getMessage.contains("opt") && e.getMessage.contains("amean"))
+    assert(store.serving("click").layer == "amean")
+    store.clear()
+  }
+
   test("runOnFull produces a 7-point forecast from exact aggregations") {
     val res = FlashP.runOnFull(mkTask(), ad)
     assert(res.series.length == 80)

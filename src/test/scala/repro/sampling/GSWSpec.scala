@@ -99,6 +99,43 @@ class GSWSpec extends SparkFunSpec {
     intercept[IllegalArgumentException] { GSW.optimal(-3.0, "impression") }
   }
 
+  // ---------- weights the paper excludes (w ≤ 0, null) ----------
+
+  /** The messages of `f`'s exception and of its causes. */
+  private def failure(f: => Any): String = {
+    val e = intercept[Exception](f)
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .map(t => String.valueOf(t.getMessage)).mkString("\n")
+  }
+
+  private def badWeightDf = {
+    val s = ss; import s.implicits._
+    Seq[(Int, Option[Long], Long)]((0, Some(10L), 4L), (0, Some(20L), 0L), (1, None, 2L))
+      .toDF("t", "a", "b")
+  }
+
+  test("geometric weight over a zero measure fails, naming the sampler") {
+    // Spark's log(0) is NULL, so the row's weight would be NULL: never drawn.
+    val g = GSW.geometric(30, Seq("a", "b"))
+    val msg = failure(g.sample(badWeightDf.filter(col("a").isNotNull)).count())
+    assert(msg.contains(g.name) && msg.contains("must be positive"), msg)
+  }
+
+  test("a negative weight fails, naming the sampler") {
+    // w = -3 < -Δ would be drawn with probability w/(Δ+w) = 1.5.
+    val neg = GSW(1, col("b") - 3, "w=b-3", Seq("b"))
+    val msg = failure(neg.sample(badWeightDf).count())
+    assert(msg.contains(neg.name) && msg.contains("must be positive"), msg)
+  }
+
+  test("a null measure under the optimal sampler fails, naming the sampler") {
+    val opt = GSW.optimal(30, "a")
+    val msg = failure(opt.sample(badWeightDf).collect())
+    assert(msg.contains(opt.name) && msg.contains("must be positive"), msg)
+    // The same rows without the null draw normally.
+    assert(opt.sample(badWeightDf.filter(col("a").isNotNull)).count() <= 2)
+  }
+
   test("deltaForRate hits the requested rate within 10%") {
     for (rate <- Seq(0.01, 0.05)) {
       val delta = GSW.deltaForRate(ad, col("impression"), rate)
