@@ -5,11 +5,16 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.sampling.Sampler
 
-/** The online aggregation phase (§2.2, eq. 4): turn a forecasting task into
-  * the per-day series `M_ts .. M_te` with ONE Spark SQL aggregation — the
-  * `t_e − t_s + 1` point queries of eq. (4) are, as the paper notes,
-  * equivalent to a single scan with GROUP BY t, which is exactly how
-  * Catalyst executes the plan below.
+/** The online aggregation phase (§2.2, eq. 4) on Spark: turn a forecasting
+  * task into the per-day series `M_ts .. M_te` with ONE Spark SQL
+  * aggregation — the `t_e − t_s + 1` point queries of eq. (4) are, as the
+  * paper notes, equivalent to a single scan with GROUP BY t, which is
+  * exactly how Catalyst executes the plan below.
+  *
+  * It serves the full scan ([[FlashP.runOnFull]]) and the ground truth.
+  * Sample layers are served by their driver copies ([[SampleColumns]]);
+  * [[estimateSeries]] is the Spark reference those copies are tested
+  * against.
   */
 object Estimator {
 
@@ -21,7 +26,8 @@ object Estimator {
 
   /** Estimated series from a sample produced by a [[repro.sampling.Sampler]]:
     * sums the calibrated `est_<m>` column, which is unbiased for the exact
-    * constrained sum per day.
+    * constrained sum per day. The Spark reference for [[SampleColumns.series]];
+    * the product serves samples from [[StoredSample.columns]].
     */
   def estimateSeries(sample: DataFrame, task: ForecastTask, timeCol: String = "t"): Array[Double] =
     series(sample, task, col(Sampler.estCol(task.measure)), timeCol)
@@ -52,7 +58,7 @@ object Estimator {
   }
 
   /** The day of a time-column value of any integral type. */
-  private[core] def dayOf(t: Any): Int = t match {
+  private def dayOf(t: Any): Int = t match {
     case d: Int   => d
     case d: Long  => Math.toIntExact(d)
     case d: Short => d.toInt

@@ -12,18 +12,29 @@ import repro.sampling.Sampler
   * @param df      cached sample relation with `est_*` columns; incremental
   *                maintenance and the DuckDB oracle read it
   * @param rows    materialized sample row count (space cost)
-  * @param columns the layer copied to the driver as primitive columns, our
-  *                stand-in for the paper's Hologres in-memory store;
-  *                [[SampleStore.add]] makes it. A layer without one (e.g.
-  *                built directly from `IncrementalGSW.append`) is served by
-  *                one Spark aggregation over `df`.
+  * @param copy    the layer's driver copy, evaluated at most once, on first
+  *                use
   */
-final case class StoredSample(layer: String, sampler: Sampler, df: DataFrame, rows: Long,
-                              columns: Option[SampleColumns] = None) {
+final class StoredSample(val layer: String, val sampler: Sampler, val df: DataFrame,
+                         val rows: Long, copy: => SampleColumns) {
 
-  /** The task's per-day estimates, from the driver copy when there is one. */
-  def series(task: ForecastTask): Array[Double] =
-    columns.fold(Estimator.estimateSeries(df, task))(_.series(task))
+  /** The layer copied to the driver as primitive columns, our stand-in for
+    * the paper's Hologres in-memory store; every query is answered from it.
+    */
+  lazy val columns: SampleColumns = copy
+
+  /** The task's per-day estimates, from the driver copy. */
+  def series(task: ForecastTask): Array[Double] = columns.series(task)
+}
+
+object StoredSample {
+
+  /** A layer whose driver copy is collected from `df` by one Spark job on
+    * its first query; over a cached `df` that job needs no shuffle. This is
+    * how a layer maintained with `IncrementalGSW.append` is served.
+    */
+  def apply(layer: String, sampler: Sampler, df: DataFrame, rows: Long): StoredSample =
+    new StoredSample(layer, sampler, df, rows, SampleColumns.collect(df, sampler.measures))
 }
 
 /** Multi-layer sample store (§3.2, §5): FlashP keeps samples of several
@@ -31,18 +42,23 @@ final case class StoredSample(layer: String, sampler: Sampler, df: DataFrame, ro
   * latency/accuracy requirement. Adding a layer runs the offline sampler,
   * caches the result in memory and copies it to the driver in the same
   * Spark job — after that, online queries run no Spark job and never touch
-  * the base table.
+  * the base table. A layer built outside the store (`StoredSample(...)`)
+  * makes its copy on its first query instead.
   */
 final class SampleStore {
   private var layers: Vector[StoredSample] = Vector.empty
 
   /** Draw, cache and register a layer. A layer of the same name is replaced
-    * and unpersisted, after the new one is materialised.
+    * and unpersisted, after the new one is materialised. If drawing or
+    * copying the layer fails, its cache entry is dropped and the error
+    * rethrown.
     */
   def add(layer: String, sampler: Sampler, full: DataFrame): StoredSample = {
     val df = sampler.sample(full).persist(StorageLevel.MEMORY_ONLY)
-    val columns = SampleColumns.collect(df, sampler.measures)
-    val stored = StoredSample(layer, sampler, df, columns.rows, Some(columns))
+    val columns =
+      try SampleColumns.collect(df, sampler.measures)
+      catch { case e: Throwable => df.unpersist(); throw e }
+    val stored = new StoredSample(layer, sampler, df, columns.rows, columns)
     layers.indexWhere(_.layer == layer) match {
       case -1 => layers :+= stored
       case i =>

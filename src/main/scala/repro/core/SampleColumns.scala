@@ -2,8 +2,12 @@ package repro.core
 
 import java.nio.charset.StandardCharsets.UTF_8
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 import repro.data.AdSchema
 import repro.sampling.Sampler
 
@@ -16,6 +20,10 @@ import repro.sampling.Sampler
   * [[AdSchema]] dimension is dictionary-encoded, with codes in the narrowest
   * of `Byte`/`Short`/`Int` that holds its dictionary; each `est_<m>` of the
   * sampler's measures is one `Array[Double]`.
+  *
+  * Every [[StoredSample]] is answered from one: [[SampleStore.add]] makes it
+  * in the job that materialises the layer's cache, `StoredSample(...)` on
+  * the layer's first query.
   *
   * [[series]] answers a task without a Spark job. It equals
   * [[Estimator.estimateSeries]] over the layer's DataFrame up to the order in
@@ -70,10 +78,13 @@ final class SampleColumns private (val rows: Long, firstDay: Int, dayStart: Arra
 
 object SampleColumns {
 
-  /** Copy the layer `df` to the driver with one Spark job: a projection of
-    * its time column, its [[AdSchema]] dimensions of integral or string type
-    * and the `est_<m>` columns of `measures`. If `df` is persisted and not
-    * yet materialised, the same job materialises the cache.
+  /** Copy the layer `df` to the driver with one Spark job over its time
+    * column, its [[AdSchema]] dimensions of integral or string type and the
+    * `est_<m>` columns of `measures`. Each partition fills primitive arrays
+    * with its own dictionaries (no `Row` per sample row); the driver
+    * concatenates them in partition order, merges the dictionaries and
+    * groups the rows by day. If `df` is persisted and not yet materialised,
+    * the same job materialises the cache.
     */
   def collect(df: DataFrame, measures: Seq[String]): SampleColumns = {
     val time = AdSchema.TimeCol
@@ -82,53 +93,134 @@ object SampleColumns {
       s"time column '$time' must be integral, not ${df.schema(time).dataType.simpleString}")
     val dimNames = AdSchema.Dimensions.filter(d => df.columns.contains(d) &&
       (Estimator.isIntegral(df.schema(d).dataType) || df.schema(d).dataType == StringType))
+    val integral = dimNames.map(d => Estimator.isIntegral(df.schema(d).dataType)).toArray
     val estNames = measures.map(Sampler.estCol)
-    val rows = df.select((col(time) +: dimNames.map(col)) ++
-      estNames.map(e => col(e).cast(DoubleType)): _*).collect()
-
-    // Group row indices by day with a counting sort; `slot(j)` is row j's
-    // position in day order, -1 for a null time stamp.
-    val NoDay = Int.MinValue
-    val day = rows.map(r => if (r.isNullAt(0)) NoDay else Estimator.dayOf(r.get(0)))
-    val present = day.filter(_ != NoDay)
-    val firstDay = if (present.isEmpty) 0 else present.min
-    val nDays = if (present.isEmpty) 0 else present.max - firstDay + 1
-    val dayStart = new Array[Int](nDays + 1)
-    present.foreach(d => dayStart(d - firstDay + 1) += 1)
-    for (d <- 1 to nDays) dayStart(d) += dayStart(d - 1)
-    val cursor = dayStart.clone()
-    val slot = day.map { d =>
-      if (d == NoDay) -1
-      else { val s = cursor(d - firstDay); cursor(d - firstDay) = s + 1; s }
+    val nEst = estNames.size
+    val qe = df.select((col(time).cast(LongType) +: dimNames.zip(integral).map {
+      case (d, true) => col(d).cast(LongType)
+      case (d, false) => col(d)
+    }) ++ estNames.map(e => col(e).cast(DoubleType)): _*).queryExecution
+    val parts = SQLExecution.withNewExecutionId(qe, Some("SampleColumns.collect")) {
+      qe.toRdd.mapPartitions(rows => Iterator(Part.fill(rows, integral, nEst))).collect()
     }
-    val n = present.length
 
-    val dims = dimNames.zipWithIndex.map { case (name, k) =>
+    // Group the rows by day with a counting sort; `slot(j)` is row j's
+    // position in day order. Loops over rows are `while` loops, which the
+    // JIT compiles to plain array code; a closure per row costs a call.
+    val day = parts.flatMap(_.day)
+    val n = day.length
+    var firstDay = if (n == 0) 0 else Int.MaxValue
+    var lastDay = if (n == 0) -1 else Int.MinValue
+    var j = 0
+    while (j < n) {
+      firstDay = math.min(firstDay, day(j))
+      lastDay = math.max(lastDay, day(j))
+      j += 1
+    }
+    val dayStart = new Array[Int](lastDay - firstDay + 2)
+    j = 0
+    while (j < n) { dayStart(day(j) - firstDay + 1) += 1; j += 1 }
+    for (d <- 1 until dayStart.length) dayStart(d) += dayStart(d - 1)
+    val cursor = dayStart.clone()
+    val slot = new Array[Int](n)
+    j = 0
+    while (j < n) {
+      val d = day(j) - firstDay
+      slot(j) = cursor(d)
+      cursor(d) += 1
+      j += 1
+    }
+
+    val dims = dimNames.indices.map { k =>
+      // Partitions' dictionaries merge in partition order, so a value's
+      // code is the order of its first appearance in the layer.
       val codeOf = new java.util.HashMap[Any, Integer]()
-      val dict = scala.collection.mutable.ArrayBuffer.empty[Any]
+      val dict = ArrayBuffer.empty[Any]
       val codes = new Array[Int](n)
-      rows.indices.foreach { j =>
-        if (slot(j) >= 0) {
-          val v = rows(j).get(k + 1)
+      var j = 0
+      parts.foreach { p =>
+        val global = p.dicts(k).map { v =>
           var c = codeOf.get(v)
           if (c == null) { c = dict.size; codeOf.put(v, c); dict += v }
-          codes(slot(j)) = c
+          c.intValue
+        }
+        val local = p.codes(k)
+        var i = 0
+        while (i < local.length) { codes(slot(j)) = global(local(i)); i += 1; j += 1 }
+      }
+      dimNames(k) -> new DimColumn(dimNames(k), integral(k), dict.toArray,
+        Codes.narrowest(codes, dict.size))
+    }.toMap
+
+    val est = estNames.indices.map { k =>
+      val values = new Array[Double](n)
+      var j = 0
+      parts.foreach { p =>
+        val local = p.est(k)
+        var i = 0
+        while (i < local.length) { values(slot(j)) = local(i); i += 1; j += 1 }
+      }
+      estNames(k) -> values
+    }.toMap
+
+    new SampleColumns(n + parts.map(_.nullTime.toLong).sum, firstDay, dayStart, dims, est)
+  }
+
+  /** One partition's rows that have a time stamp, in partition order: the
+    * day, each dimension's code into the partition's own dictionary (of
+    * `Long`, `String` or null values) and each estimate. A null estimate is
+    * held as 0, which adds nothing, as SUM skips it.
+    */
+  private final class Part(val nullTime: Int, val day: Array[Int],
+                           val codes: Array[Array[Int]], val dicts: Array[Array[Any]],
+                           val est: Array[Array[Double]]) extends Serializable
+
+  private object Part {
+
+    /** Fill a [[Part]] from rows of (time as long, dimensions with integral
+      * ones as long, estimates as double).
+      */
+    def fill(rows: Iterator[InternalRow], integral: Array[Boolean], nEst: Int): Part = {
+      val nDims = integral.length
+      var nullTime = 0
+      val day = new ArrayBuilder.ofInt
+      val codes = Array.fill(nDims)(new ArrayBuilder.ofInt)
+      val codeOf = Array.fill(nDims)(new java.util.HashMap[Any, Integer]())
+      val dicts = Array.fill(nDims)(ArrayBuffer.empty[Any])
+      val est = Array.fill(nEst)(new ArrayBuilder.ofDouble)
+      rows.foreach { r =>
+        if (r.isNullAt(0)) nullTime += 1
+        else {
+          day += Math.toIntExact(r.getLong(0))
+          var k = 0
+          while (k < nDims) {
+            val v: Any =
+              if (r.isNullAt(k + 1)) null
+              else if (integral(k)) r.getLong(k + 1)
+              else r.getUTF8String(k + 1)
+            var c = codeOf(k).get(v)
+            if (c == null) {
+              // A row's string may point into a buffer the next row reuses.
+              val owned = v match { case s: UTF8String => s.clone(); case _ => v }
+              c = dicts(k).size
+              codeOf(k).put(owned, c)
+              dicts(k) += owned
+            }
+            codes(k) += c
+            k += 1
+          }
+          k = 0
+          while (k < nEst) {
+            val at = 1 + nDims + k
+            est(k) += (if (r.isNullAt(at)) 0.0 else r.getDouble(at))
+            k += 1
+          }
         }
       }
-      name -> new DimColumn(name, Estimator.isIntegral(df.schema(name).dataType),
-        dict.toArray, Codes.narrowest(codes, dict.size))
-    }.toMap
-
-    val est = estNames.zipWithIndex.map { case (name, k) =>
-      val values = new Array[Double](n)
-      val at = 1 + dimNames.size + k
-      // SUM skips nulls, so a null estimate adds nothing.
-      rows.indices.foreach(j => if (slot(j) >= 0 && !rows(j).isNullAt(at))
-        values(slot(j)) = rows(j).getDouble(at))
-      name -> values
-    }.toMap
-
-    new SampleColumns(rows.length.toLong, firstDay, dayStart, dims, est)
+      new Part(nullTime, day.result(), codes.map(_.result()),
+        dicts.map(_.map { case s: UTF8String => s.toString; case v => v }.toArray),
+        est.map(_.result()))
+    }
   }
 }
 
@@ -190,9 +282,17 @@ private[core] sealed abstract class Codes {
 
 private[core] object Codes {
   def narrowest(codes: Array[Int], dictSize: Int): Codes =
-    if (dictSize <= 256) new ByteCodes(codes.map(_.toByte))
-    else if (dictSize <= 65536) new ShortCodes(codes.map(_.toShort))
-    else new IntCodes(codes)
+    if (dictSize <= 256) {
+      val a = new Array[Byte](codes.length)
+      var i = 0
+      while (i < a.length) { a(i) = codes(i).toByte; i += 1 }
+      new ByteCodes(a)
+    } else if (dictSize <= 65536) {
+      val a = new Array[Short](codes.length)
+      var i = 0
+      while (i < a.length) { a(i) = codes(i).toShort; i += 1 }
+      new ShortCodes(a)
+    } else new IntCodes(codes)
 
   private final class ByteCodes(a: Array[Byte]) extends Codes {
     def apply(i: Int): Int = a(i) & 0xff

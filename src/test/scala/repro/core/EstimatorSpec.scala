@@ -85,7 +85,7 @@ class EstimatorSpec extends SparkFunSpec {
     val layer = store.add("long-t", sampler, longT)
     val spark = Estimator.estimateSeries(layer.df, task)
     assert(close(spark, Estimator.estimateSeries(sampler.sample(ad), task)))
-    assert(close(layer.columns.get.series(task), spark))
+    assert(close(layer.columns.series(task), spark))
     store.clear()
     intercept[IllegalArgumentException] {
       Estimator.exactSeries(ad.withColumn("t", col("t").cast("double")), task)

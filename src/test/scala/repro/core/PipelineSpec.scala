@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkFunSpec, TestData}
 import repro.sampling.{GSW, Sampler}
 
@@ -37,6 +38,23 @@ class PipelineSpec extends SparkFunSpec {
     assert(first.df.storageLevel == org.apache.spark.storage.StorageLevel.NONE)
     assert(second.df.storageLevel != org.apache.spark.storage.StorageLevel.NONE)
     store.clear()
+  }
+
+  test("SampleStore: a layer that fails to draw leaves no cache entry") {
+    // Spark's log(0) is NULL, so a geometric weight over a zero measure fails.
+    val zero = ad.withColumn("cart", lit(0L))
+    val geo = GSW.geometric(30, Seq("impression", "cart"), seed = 3008)
+    val store = new SampleStore
+    val e = intercept[Exception](store.add("geo", geo, zero))
+    val msg = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .map(t => String.valueOf(t.getMessage)).mkString("\n")
+    assert(msg.contains(geo.name), msg)
+    assert(store.all.isEmpty)
+    assert(geo.sample(zero).storageLevel == StorageLevel.NONE)
+    // The same plan is found in the cache once it is persisted.
+    val cached = geo.sample(zero).persist(StorageLevel.MEMORY_ONLY)
+    assert(geo.sample(zero).storageLevel == StorageLevel.MEMORY_ONLY)
+    cached.unpersist()
   }
 
   test("SampleStore: unknown layer raises a helpful error") {

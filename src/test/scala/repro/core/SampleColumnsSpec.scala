@@ -1,23 +1,27 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkFunSpec, TestData}
 import repro.data.AdSchema
 import repro.sampling._
 
 /** The driver-resident sample engine ([[SampleColumns]]) against its
   * reference, [[Estimator.estimateSeries]] on Spark over the same cached
-  * layer: equal within 1e-9 relative per day, for every sampler, over
-  * TaskGen's constraint pool and the edge cases of the predicate semantics.
+  * layer: equal within 1e-9 relative per day, for every sampler, for layers
+  * appended by [[IncrementalGSW]], over TaskGen's constraint pool and the
+  * edge cases of the predicate semantics and of the partition layout.
   */
 class SampleColumnsSpec extends SparkFunSpec {
 
   private lazy val ad = TestData.ad // 20 days × 1500 rows/day
 
-  private def assertSameSeries(layer: StoredSample, task: ForecastTask): Unit = {
-    val driver = layer.columns.get.series(task)
-    val spark = Estimator.estimateSeries(layer.df, task)
+  private def assertSameSeries(layer: StoredSample, task: ForecastTask): Unit =
+    assertSame(task, layer.series(task), Estimator.estimateSeries(layer.df, task))
+
+  private def assertSame(task: ForecastTask, driver: Array[Double],
+                         spark: Array[Double]): Unit = {
     assert(driver.length == spark.length)
     driver.indices.foreach { d =>
       val tol = 1e-9 * math.max(math.abs(driver(d)), math.abs(spark(d)))
@@ -53,9 +57,24 @@ class SampleColumnsSpec extends SparkFunSpec {
       store.clear()
     }
 
+  private lazy val withNulls = ad
+    .withColumn("gender", when(col("age") < 30, lit(null).cast("string")).otherwise(col("gender")))
+    .withColumn("city", when(col("tag_food") === 1, lit(null).cast("int")).otherwise(col("city")))
+
   test("driver engine equals the Spark estimator on edge cases") {
     val store = new SampleStore
     val layer = store.add("u", Uniform(0.2, ms, 4007), ad)
+    // The same rows in one partition, and in 16 partitions of which at
+    // least 13 are empty; their copies are made on first use.
+    val repartitioned = Seq(layer.df.repartition(1), layer.df.repartition(16, col("t") % 3))
+      .map(df => StoredSample("u", layer.sampler, df.cache(), layer.rows))
+    assert(repartitioned.map(_.df.rdd.getNumPartitions) == Seq(1, 16))
+    // Null dimension values, and time stamps no task selects.
+    val nullTime = store.add("nulls", Uniform(0.2, ms, 4010), withNulls
+      .withColumn("t", when(col("impression") % 5 === 0, lit(null)).otherwise(col("t"))))
+    assert(nullTime.df.filter(col("t").isNull).count() > 0)
+    assert(nullTime.rows == nullTime.df.count())
+    repartitioned.foreach(l => assert(l.columns.rows == layer.rows))
     val cases = Seq(
       task("click", Constraint(Nil)),
       task("click", Constraint(Nil), ts = -3, te = 4),
@@ -69,14 +88,12 @@ class SampleColumnsSpec extends SparkFunSpec {
       task("click", Constraint(Seq(Pred("age", ">", "3e1", false)))),
       task("click", Constraint(Seq(Pred("age", "=", "30", true)))),
       task("cart", Constraint(Seq(Pred("age", ">=", "30", false), Pred("age", "<", "40", false)))))
-    cases.foreach(assertSameSeries(layer, _))
+    for (l <- layer +: nullTime +: repartitioned; c <- cases) assertSameSeries(l, c)
+    repartitioned.foreach(_.df.unpersist())
     store.clear()
   }
 
   test("driver engine equals the Spark estimator with null dimension values") {
-    val withNulls = ad
-      .withColumn("gender", when(col("age") < 30, lit(null).cast("string")).otherwise(col("gender")))
-      .withColumn("city", when(col("tag_food") === 1, lit(null).cast("int")).otherwise(col("city")))
     val store = new SampleStore
     val layer = store.add("nulls", Uniform(0.2, Seq("impression"), 4008), withNulls)
     Seq(
@@ -107,12 +124,51 @@ class SampleColumnsSpec extends SparkFunSpec {
     store.clear()
   }
 
-  test("a layer built without a driver copy is served by Spark") {
-    val df: DataFrame = Uniform(0.2, Seq("impression"), 4009).sample(ad).cache()
-    val layer = StoredSample("direct", Uniform(0.2, Seq("impression"), 4009), df, df.count())
+  test("a layer built without a driver copy makes it in one Spark job") {
+    val sampler = Uniform(0.2, Seq("impression"), 4009)
+    val df = sampler.sample(ad).cache()
+    val layer = StoredSample("direct", sampler, df, df.count())
     val t = task("impression", Constraint(Seq(Pred("gender", "=", "F", true))))
-    assert(layer.columns.isEmpty)
-    assert(FlashP.runOnSample(t, layer).series.sameElements(Estimator.estimateSeries(df, t)))
+    val (first, firstJobs) = JobCounter(spark.sparkContext)(FlashP.runOnSample(t, layer).series)
+    val (second, secondJobs) = JobCounter(spark.sparkContext)(FlashP.runOnSample(t, layer).series)
+    assert(firstJobs == 1, s"the first query ran $firstJobs Spark jobs")
+    assert(secondJobs == 0, s"the second query ran $secondJobs Spark jobs")
+    assert(second.sameElements(first))
+    assertSameSeries(layer, t)
     df.unpersist()
+  }
+
+  test("layers appended by IncrementalGSW equal the Spark estimator at depths 1-3") {
+    // As a daily ingest lands them: an Opt-GSW layer over days 0-16, then
+    // days 17, 18 and 19 appended one at a time, each as one partition at
+    // the Δ′ that keeps the expected size, persisted and counted.
+    val m = "impression"
+    val dayWeight = ad.groupBy("t").agg(sum(m)).collect()
+      .map(r => r.getInt(0) -> r.getLong(1).toDouble).toMap
+    val firstNew = 17
+    val initialRows = ad.filter(col("t") < firstNew)
+    var delta = GSW.deltaForRate(initialRows, col(m), 0.05)
+    var covered = (0 until firstNew).map(dayWeight).sum
+    val store = new SampleStore
+    var layer = store.add(m, GSW.optimal(delta, m, 4011), initialRows)
+    val appended = (firstNew until 20).map { d =>
+      val newDelta = delta * (covered + dayWeight(d)) / covered
+      val sampler = GSW.optimal(newDelta, m, 4011)
+      val batch = ad.filter(col("t") === d).coalesce(1)
+      val next = IncrementalGSW.append(layer.df, newDelta, batch, sampler)
+        .persist(StorageLevel.MEMORY_ONLY)
+      layer = StoredSample(m, sampler, next, next.count())
+      delta = newDelta
+      covered += dayWeight(d)
+      layer
+    }
+    appended.zipWithIndex.foreach { case (l, depth) =>
+      pool.foreach { c =>
+        val t = task(m, c, te = firstNew + depth)
+        assertSame(t, FlashP.runOnSample(t, l).series, Estimator.estimateSeries(l.df, t))
+      }
+    }
+    appended.foreach(_.df.unpersist())
+    store.clear()
   }
 }
