@@ -66,6 +66,11 @@ final case class LstmForecaster(hidden: Int = 4, window: Int = 7,
   *
   * Parameter layout (H = hidden size, gates ordered i, f, o, g):
   * `Wx[4][H] | Wh[4][H][H] | b[4][H] | Wd[H] | bd`.
+  *
+  * The activations of a forward pass over the `K` steps of a window live in
+  * buffers allocated once per instance, where [[gradient]]'s backward pass
+  * reads them; training allocates nothing per step or per window. An
+  * instance is therefore not thread-safe: use one per thread.
   */
 final class Lstm(val H: Int, val K: Int, seed: Long) {
   private val offWx = 0
@@ -85,24 +90,35 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
     a
   }
 
+  // Step t's gates i, f, o, g start at gates((4t + gate)·H) and its tanh(c_t)
+  // at tanhC(t·H); c and h hold the states 0..K at (state·H), state 0 zero.
+  private val gates = new Array[Double](4 * H * K)
+  private val tanhC = new Array[Double](H * K)
+  private val c = new Array[Double](H * (K + 1))
+  private val h = new Array[Double](H * (K + 1))
+  // Backward-pass state: dL/dh and dL/dc of the current step and the one before.
+  private var dh = new Array[Double](H)
+  private var dc = new Array[Double](H)
+  private var dhPrev = new Array[Double](H)
+  private var dcPrev = new Array[Double](H)
+  private val grad = new Array[Double](nParams)
+
   @inline private def sigmoid(x: Double): Double = 1.0 / (1.0 + math.exp(-x))
 
   /** Forward pass over one window; returns the scalar prediction. */
-  def predict(x: Array[Double]): Double = forward(x, null)
+  def predict(x: Array[Double]): Double = forward(x)
 
-  /** Forward pass; if `cache` is non-null it must have room for the
-    * per-step activations used by [[backward]]:
-    * cache(t) = Array(i, f, o, g, c, h, cPrev, hPrev) each of length H.
+  /** Forward pass over a window of `K` values, leaving every step's
+    * activations in the step buffers for [[gradient]].
     */
-  private def forward(x: Array[Double], cache: Array[Array[Array[Double]]]): Double = {
-    var hVec = new Array[Double](H)
-    var cVec = new Array[Double](H)
+  private def forward(x: Array[Double]): Double = {
+    require(x.length == K, s"LSTM window has ${x.length} values, expected $K")
     var t = 0
-    while (t < x.length) {
+    while (t < K) {
       val xi = x(t)
-      val iG = new Array[Double](H); val fG = new Array[Double](H)
-      val oG = new Array[Double](H); val gG = new Array[Double](H)
-      val cN = new Array[Double](H); val hN = new Array[Double](H)
+      val prev = t * H
+      val next = prev + H
+      val gi = 4 * prev
       var j = 0
       while (j < H) {
         var ai = w(offWx + 0 * H + j) * xi + w(offB + 0 * H + j)
@@ -111,25 +127,28 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
         var ag = w(offWx + 3 * H + j) * xi + w(offB + 3 * H + j)
         var k = 0
         while (k < H) {
-          val hk = hVec(k)
+          val hk = h(prev + k)
           ai += w(offWh + ((0 * H + j) * H) + k) * hk
           af += w(offWh + ((1 * H + j) * H) + k) * hk
           ao += w(offWh + ((2 * H + j) * H) + k) * hk
           ag += w(offWh + ((3 * H + j) * H) + k) * hk
           k += 1
         }
-        iG(j) = sigmoid(ai); fG(j) = sigmoid(af); oG(j) = sigmoid(ao); gG(j) = math.tanh(ag)
-        cN(j) = fG(j) * cVec(j) + iG(j) * gG(j)
-        hN(j) = oG(j) * math.tanh(cN(j))
+        val iG = sigmoid(ai); val fG = sigmoid(af); val oG = sigmoid(ao); val gG = math.tanh(ag)
+        val cN = fG * c(prev + j) + iG * gG
+        val tc = math.tanh(cN)
+        gates(gi + j) = iG; gates(gi + H + j) = fG
+        gates(gi + 2 * H + j) = oG; gates(gi + 3 * H + j) = gG
+        c(next + j) = cN
+        tanhC(prev + j) = tc
+        h(next + j) = oG * tc
         j += 1
       }
-      if (cache != null) cache(t) = Array(iG, fG, oG, gG, cN, hN, cVec, hVec)
-      cVec = cN; hVec = hN
       t += 1
     }
     var out = w(offBd)
     var j = 0
-    while (j < H) { out += w(offWd + j) * hVec(j); j += 1 }
+    while (j < H) { out += w(offWd + j) * h(K * H + j); j += 1 }
     out
   }
 
@@ -141,41 +160,44 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
     s / xs.length
   }
 
-  /** Full-batch gradient of the MSE loss wrt the flat parameter vector. */
+  /** Full-batch gradient of the MSE loss wrt the flat parameter vector.
+    *
+    * @return an array owned by this instance, overwritten by the next call
+    */
   def gradient(xs: Array[Array[Double]], ys: Array[Double]): Array[Double] = {
-    val grad = new Array[Double](nParams)
+    java.util.Arrays.fill(grad, 0.0)
     var sample = 0
     while (sample < xs.length) {
       val x = xs(sample)
-      val cache = new Array[Array[Array[Double]]](x.length)
-      val pred = forward(x, cache)
+      val pred = forward(x)
       val dOut = 2.0 * (pred - ys(sample)) / xs.length
       // Dense head gradients; seed dh at the last step.
-      val hLast = cache(x.length - 1)(5)
       var j = 0
-      while (j < H) { grad(offWd + j) += dOut * hLast(j); j += 1 }
+      while (j < H) { grad(offWd + j) += dOut * h(K * H + j); j += 1 }
       grad(offBd) += dOut
-      var dh = Array.tabulate(H)(j2 => dOut * w(offWd + j2))
-      var dc = new Array[Double](H)
-      var t = x.length - 1
+      j = 0
+      while (j < H) { dh(j) = dOut * w(offWd + j); dc(j) = 0.0; j += 1 }
+      var t = K - 1
       while (t >= 0) {
-        val Array(iG, fG, oG, gG, cN, _, cPrev, hPrev) = cache(t)
         val xi = x(t)
-        val dhPrev = new Array[Double](H)
-        val dcPrev = new Array[Double](H)
+        val prev = t * H
+        val gi = 4 * prev
+        java.util.Arrays.fill(dhPrev, 0.0)
         var jj = 0
         while (jj < H) {
-          val tc = math.tanh(cN(jj))
+          val iG = gates(gi + jj); val fG = gates(gi + H + jj)
+          val oG = gates(gi + 2 * H + jj); val gG = gates(gi + 3 * H + jj)
+          val tc = tanhC(prev + jj)
           val doG = dh(jj) * tc
-          val dcj = dc(jj) + dh(jj) * oG(jj) * (1 - tc * tc)
-          val diG = dcj * gG(jj)
-          val dgG = dcj * iG(jj)
-          val dfG = dcj * cPrev(jj)
-          dcPrev(jj) = dcj * fG(jj)
-          val dai = diG * iG(jj) * (1 - iG(jj))
-          val daf = dfG * fG(jj) * (1 - fG(jj))
-          val dao = doG * oG(jj) * (1 - oG(jj))
-          val dag = dgG * (1 - gG(jj) * gG(jj))
+          val dcj = dc(jj) + dh(jj) * oG * (1 - tc * tc)
+          val diG = dcj * gG
+          val dgG = dcj * iG
+          val dfG = dcj * c(prev + jj)
+          dcPrev(jj) = dcj * fG
+          val dai = diG * iG * (1 - iG)
+          val daf = dfG * fG * (1 - fG)
+          val dao = doG * oG * (1 - oG)
+          val dag = dgG * (1 - gG * gG)
           grad(offWx + 0 * H + jj) += dai * xi
           grad(offWx + 1 * H + jj) += daf * xi
           grad(offWx + 2 * H + jj) += dao * xi
@@ -186,7 +208,7 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
           grad(offB + 3 * H + jj) += dag
           var k = 0
           while (k < H) {
-            val hk = hPrev(k)
+            val hk = h(prev + k)
             grad(offWh + ((0 * H + jj) * H) + k) += dai * hk
             grad(offWh + ((1 * H + jj) * H) + k) += daf * hk
             grad(offWh + ((2 * H + jj) * H) + k) += dao * hk
@@ -199,7 +221,8 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
           }
           jj += 1
         }
-        dh = dhPrev; dc = dcPrev
+        val th = dh; dh = dhPrev; dhPrev = th
+        val tcp = dc; dc = dcPrev; dcPrev = tcp
         t -= 1
       }
       sample += 1
@@ -216,12 +239,14 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
     while (step < epochs) {
       val g = gradient(xs, ys)
       val t = step + 1
+      val bc1 = 1 - math.pow(b1, t)
+      val bc2 = 1 - math.pow(b2, t)
       var i = 0
       while (i < nParams) {
         m(i) = b1 * m(i) + (1 - b1) * g(i)
         v(i) = b2 * v(i) + (1 - b2) * g(i) * g(i)
-        val mh = m(i) / (1 - math.pow(b1, t))
-        val vh = v(i) / (1 - math.pow(b2, t))
+        val mh = m(i) / bc1
+        val vh = v(i) / bc2
         w(i) -= lr * mh / (math.sqrt(vh) + eps)
         i += 1
       }

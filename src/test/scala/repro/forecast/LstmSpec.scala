@@ -1,13 +1,59 @@
 package repro.forecast
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 import scala.util.Random
 
 /** Tests for the pure-Scala LSTM forecaster: exact gradient correctness
-  * (numerical check), learning capacity on known signals, determinism, and
-  * the Forecaster contract.
+  * (numerical check), learning capacity on known signals, determinism, the
+  * Forecaster contract, and agreement with the slow [[LstmReference]].
   */
-class LstmSpec extends AnyFunSuite {
+class LstmSpec extends AnyFunSuite with PropSupport {
+
+  private def weeklySeasonal(n: Int, rng: Random): Array[Double] =
+    Array.tabulate(n)(t => 1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * t / 7)) +
+      50 * rng.nextGaussian())
+
+  /** A series of one of four shapes: weekly seasonal, random walk,
+    * constant, or 60 % zeros.
+    */
+  private def series(kind: Int, n: Int, seed: Long): Array[Double] = {
+    val rng = new Random(seed)
+    kind match {
+      case 0 => weeklySeasonal(n, rng)
+      case 1 => Array.iterate(500.0, n)(_ + 20 * rng.nextGaussian())
+      case 2 => Array.fill(n)(1000.0 * (1 + (seed % 7)))
+      case _ => Array.fill(n)(if (rng.nextDouble() < 0.6) 0.0 else 100 * rng.nextDouble())
+    }
+  }
+
+  /** Model and data shapes for the reference properties. */
+  private case class Case(kind: Int, n: Int, seed: Long, hidden: Int, window: Int,
+                          epochs: Int, horizon: Int)
+
+  private val genCase: Gen[Case] = for {
+    kind <- Gen.choose(0, 3)
+    hidden <- Gen.choose(1, 5)
+    window <- Gen.choose(2, 8)
+    n <- Gen.choose(window + 4, 200)
+    epochs <- Gen.choose(1, 50)
+    horizon <- Gen.choose(1, 10)
+    seed <- Gen.choose(0L, 1L << 40)
+  } yield Case(kind, n, seed, hidden, window, epochs, horizon)
+
+  /** The min-max-scaled training windows [[LstmForecaster]] fits on. */
+  private def windows(y: Array[Double], window: Int): (Array[Array[Double]], Array[Double]) = {
+    val range0 = y.max - y.min
+    val scaled = y.map(v => (v - y.min) / (if (range0 <= 0) 1.0 else range0))
+    (Array.tabulate(y.length - window)(i => scaled.slice(i, i + window)),
+     Array.tabulate(y.length - window)(i => scaled(i + window)))
+  }
+
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean =
+    a.length == b.length && a.indices.forall(i =>
+      java.lang.Double.doubleToLongBits(a(i)) == java.lang.Double.doubleToLongBits(b(i)))
 
   test("parameter count matches the architecture (4(H + H² + H) + H + 1)") {
     val net = new Lstm(4, 7, seed = 1)
@@ -124,5 +170,40 @@ class LstmSpec extends AnyFunSuite {
       val e = intercept[IllegalArgumentException](LstmForecaster().fitForecast(y, 7, 0.9))
       assert(e.getMessage.contains("index 17"), e.getMessage)
     }
+  }
+
+  // ---------- the production kernel against LstmReference ----------
+
+  test("trained weights and forecasts are bit-identical to LstmReference(math.tanh)") {
+    val ref = LstmReference(math.tanh)
+    checkProp(Prop.forAll(genCase) { c =>
+      val y = series(c.kind, c.n, c.seed)
+      val (xs, ys) = windows(y, c.window)
+      val net = new Lstm(c.hidden, c.window, c.seed)
+      val refNet = new ref.Net(c.hidden, c.window, c.seed)
+      net.train(xs, ys, c.epochs, 0.02)
+      refNet.train(xs, ys, c.epochs, 0.02)
+      val fc = LstmForecaster(c.hidden, c.window, c.epochs, seed = c.seed)
+        .fitForecast(y, c.horizon, 0.9)
+      val refFc = new ref.Forecaster(c.hidden, c.window, c.epochs, seed = c.seed)
+        .fitForecast(y, c.horizon, 0.9)
+      (sameBits(net.w, refNet.w) :| s"weights differ: $c") &&
+        (sameBits(fc.point, refFc.point) && sameBits(fc.lo, refFc.lo) &&
+          sameBits(fc.hi, refFc.hi)) :| s"forecasts differ: $c"
+    }, minTests = 100)
+  }
+
+  test("fitForecast allocates under 1 MB on a 150-day series") {
+    val y = weeklySeasonal(150, new Random(21))
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val id = Thread.currentThread().getId
+    for (_ <- 1 to 3) LstmForecaster().fitForecast(y, 7, 0.9)
+    val before = threads.getThreadAllocatedBytes(id)
+    LstmForecaster().fitForecast(y, 7, 0.9)
+    val bytes = threads.getThreadAllocatedBytes(id) - before
+    assert(before > 0, "per-thread allocation accounting is unavailable")
+    info(s"fitForecast allocated $bytes bytes")
+    assert(bytes < 1000000L, s"fitForecast allocated $bytes bytes")
   }
 }
