@@ -174,8 +174,8 @@ class LstmSpec extends AnyFunSuite with PropSupport {
 
   // ---------- the production kernel against LstmReference ----------
 
-  test("trained weights and forecasts are bit-identical to LstmReference(math.tanh)") {
-    val ref = LstmReference(math.tanh)
+  test("trained weights and forecasts are bit-identical to LstmReference(Lstm.tanh)") {
+    val ref = LstmReference(Lstm.tanh)
     checkProp(Prop.forAll(genCase) { c =>
       val y = series(c.kind, c.n, c.seed)
       val (xs, ys) = windows(y, c.window)
@@ -191,6 +191,36 @@ class LstmSpec extends AnyFunSuite with PropSupport {
         (sameBits(fc.point, refFc.point) && sameBits(fc.lo, refFc.lo) &&
           sameBits(fc.hi, refFc.hi)) :| s"forecasts differ: $c"
     }, minTests = 100)
+  }
+
+  test("forecasts agree with LstmReference(math.tanh) within 1e-9 of the series' scale") {
+    val ref = LstmReference(math.tanh)
+    checkProp(Prop.forAll(genCase) { c =>
+      val y = series(c.kind, c.n, c.seed)
+      val scale = y.map(math.abs).max max 1.0
+      val fc = LstmForecaster(c.hidden, c.window, c.epochs, seed = c.seed)
+        .fitForecast(y, c.horizon, 0.9)
+      val refFc = new ref.Forecaster(c.hidden, c.window, c.epochs, seed = c.seed)
+        .fitForecast(y, c.horizon, 0.9)
+      val worst = Seq(fc.point -> refFc.point, fc.lo -> refFc.lo, fc.hi -> refFc.hi)
+        .flatMap { case (a, b) => a.indices.map(i => math.abs(a(i) - b(i))) }.max
+      (worst <= 1e-9 * scale) :| s"forecasts differ by $worst at scale $scale: $c"
+    }, minTests = 100)
+  }
+
+  test("Lstm.tanh is within 1e-15 of math.tanh and keeps tanh's range and limits") {
+    var x = -40.0
+    while (x <= 40.0) {
+      val t = Lstm.tanh(x)
+      assert(math.abs(t - math.tanh(x)) <= 1e-15, s"tanh($x) = $t vs ${math.tanh(x)}")
+      assert(t >= -1.0 && t <= 1.0, s"tanh($x) = $t")
+      x += 1.0 / 1024
+    }
+    for (tiny <- Seq(1e-300, -1e-300))
+      assert(math.abs(Lstm.tanh(tiny) - math.tanh(tiny)) <= 1e-15)
+    assert(Lstm.tanh(Double.PositiveInfinity) == 1.0)
+    assert(Lstm.tanh(Double.NegativeInfinity) == -1.0)
+    assert(Lstm.tanh(Double.NaN).isNaN)
   }
 
   test("fitForecast allocates under 1 MB on a 150-day series") {
