@@ -31,10 +31,22 @@ final case class Priority(k: Int, measure: String, timeCol: String = "t",
   override def name: String = s"Priority($measure, k=$k)"
   override def measures: Seq[String] = Seq(measure)
 
+  /** Draw the sample.
+    *
+    * @throws org.apache.spark.SparkRuntimeException when the sample is
+    *         evaluated, if any row's measure is null, NaN or negative: the
+    *         estimator's `max(m, τ)` would zero a negative measure, and a NaN
+    *         priority ranks first and turns its day's estimate into NaN
+    */
   override def sample(df: DataFrame): DataFrame = {
+    val m = col(measure).cast("double")
+    // A literal message, as in GSW.sample: formatting the bad value would
+    // cost every query that samples a few tens of ms of code generation.
+    val checked = when(m.isNull || m.isNaN || m < 0, raise_error(
+      lit(s"$name: a measure is null, NaN or negative; it must be >= 0"))).otherwise(m)
     val prioritized = df
       // rand() ∈ [0,1); clamp away from 0 so q = m/u is finite.
-      .withColumn("pri_q", col(measure) / greatest(rand(seed), lit(1e-12)))
+      .withColumn("pri_q", checked / greatest(rand(seed), lit(1e-12)))
     val byPriority = Window.partitionBy(timeCol).orderBy(desc("pri_q"))
     val ranked = prioritized.withColumn("pri_rank", row_number().over(byPriority))
     // τ per day = the (k+1)-th priority; days with ≤ k rows keep everything
@@ -44,7 +56,7 @@ final case class Priority(k: Int, measure: String, timeCol: String = "t",
     ranked.filter(col("pri_rank") <= k)
       .join(tau, Seq(timeCol), "left")
       .withColumn(Sampler.estCol(measure),
-        greatest(col(measure).cast("double"), coalesce(col("pri_tau"), lit(0.0))))
+        greatest(m, coalesce(col("pri_tau"), lit(0.0))))
       .drop("pri_q", "pri_rank", "pri_tau")
   }
 }
