@@ -35,6 +35,13 @@ object TestData {
       m -> rows.map(_.getLong(i).toDouble)
     }.toMap
   }
+
+  /** A daily series with weekly seasonality around 1000 and N(0, 20²) noise,
+    * the shape of FlashP's per-day totals, for the forecaster tests.
+    */
+  def weeklySeasonal(n: Int, rng: Random): Array[Double] =
+    Array.tabulate(n)(t =>
+      1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * t / 7)) + rng.nextGaussian() * 20)
 }
 
 /** Driver-side reference implementations of the samplers' single-trial

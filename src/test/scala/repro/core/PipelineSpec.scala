@@ -45,9 +45,7 @@ class PipelineSpec extends SparkFunSpec {
     val zero = ad.withColumn("cart", lit(0L))
     val geo = GSW.geometric(30, Seq("impression", "cart"), seed = 3008)
     val store = new SampleStore
-    val e = intercept[Exception](store.add("geo", geo, zero))
-    val msg = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-      .map(t => String.valueOf(t.getMessage)).mkString("\n")
+    val msg = failure(store.add("geo", geo, zero))
     assert(msg.contains(geo.name), msg)
     assert(store.all.isEmpty)
     assert(geo.sample(zero).storageLevel == StorageLevel.NONE)

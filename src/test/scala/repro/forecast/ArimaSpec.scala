@@ -2,7 +2,7 @@ package repro.forecast
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.PropSupport
+import repro.{PropSupport, TestData}
 import repro.num.LinAlg
 import scala.util.{Random, Try}
 
@@ -27,10 +27,6 @@ class ArimaSpec extends AnyFunSuite with PropSupport {
     }
     y
   }
-
-  private def weeklySeasonal(n: Int, rng: Random): Array[Double] =
-    Array.tabulate(n)(t =>
-      1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * t / 7)) + rng.nextGaussian() * 20)
 
   // ---------- building blocks ----------
 
@@ -225,7 +221,7 @@ class ArimaSpec extends AnyFunSuite with PropSupport {
   }
 
   test("autoFit beats the naive mean forecaster on a weekly-seasonal series") {
-    val y = weeklySeasonal(150, new Random(15))
+    val y = TestData.weeklySeasonal(150, new Random(15))
     val future = Array.tabulate(7)(h =>
       1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * (150 + h) / 7)))
     val fc = Arima.autoFit(y).forecast(7)
@@ -246,7 +242,7 @@ class ArimaSpec extends AnyFunSuite with PropSupport {
 
   test("ArimaForecaster rejects a NaN or infinite value, naming its index") {
     for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
-      val y = weeklySeasonal(150, new Random(19))
+      val y = TestData.weeklySeasonal(150, new Random(19))
       y(42) = bad
       val e = intercept[IllegalArgumentException](ArimaForecaster().fitForecast(y, 7, 0.9))
       assert(e.getMessage.contains("index 42"), e.getMessage)
@@ -319,7 +315,7 @@ class ArimaSpec extends AnyFunSuite with PropSupport {
   }
 
   test("fit is bit-identical to the reference for every order of the default grid") {
-    val y = weeklySeasonal(150, new Random(20))
+    val y = TestData.weeklySeasonal(150, new Random(20))
     for (p <- 0 to 7; d <- 0 to 1; q <- 0 to 2) {
       val order = Arima.Order(p, d, q)
       assert(sameOutcome(Try(Arima.fit(y, order)), Try(ArimaReference.fit(y, order))), order)
@@ -327,7 +323,7 @@ class ArimaSpec extends AnyFunSuite with PropSupport {
   }
 
   test("autoFit allocates under 1.5 MB on a 150-day seasonal series") {
-    val y = weeklySeasonal(150, new Random(21))
+    val y = TestData.weeklySeasonal(150, new Random(21))
     val threads = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
     val id = Thread.currentThread().getId

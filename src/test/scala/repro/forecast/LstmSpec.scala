@@ -3,7 +3,7 @@ package repro.forecast
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
-import repro.PropSupport
+import repro.{PropSupport, TestData}
 import scala.util.Random
 
 /** Tests for the pure-Scala LSTM forecaster: exact gradient correctness
@@ -12,17 +12,13 @@ import scala.util.Random
   */
 class LstmSpec extends AnyFunSuite with PropSupport {
 
-  private def weeklySeasonal(n: Int, rng: Random): Array[Double] =
-    Array.tabulate(n)(t => 1000.0 * (1 + 0.3 * math.sin(2 * math.Pi * t / 7)) +
-      50 * rng.nextGaussian())
-
   /** A series of one of four shapes: weekly seasonal, random walk,
     * constant, or 60 % zeros.
     */
   private def series(kind: Int, n: Int, seed: Long): Array[Double] = {
     val rng = new Random(seed)
     kind match {
-      case 0 => weeklySeasonal(n, rng)
+      case 0 => TestData.weeklySeasonal(n, rng)
       case 1 => Array.iterate(500.0, n)(_ + 20 * rng.nextGaussian())
       case 2 => Array.fill(n)(1000.0 * (1 + (seed % 7)))
       case _ => Array.fill(n)(if (rng.nextDouble() < 0.6) 0.0 else 100 * rng.nextDouble())
@@ -224,7 +220,7 @@ class LstmSpec extends AnyFunSuite with PropSupport {
   }
 
   test("fitForecast allocates under 1 MB on a 150-day series") {
-    val y = weeklySeasonal(150, new Random(21))
+    val y = TestData.weeklySeasonal(150, new Random(21))
     val threads = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
     val id = Thread.currentThread().getId

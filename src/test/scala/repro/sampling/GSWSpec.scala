@@ -101,13 +101,6 @@ class GSWSpec extends SparkFunSpec {
 
   // ---------- weights the paper excludes (w ≤ 0, null) ----------
 
-  /** The messages of `f`'s exception and of its causes. */
-  private def failure(f: => Any): String = {
-    val e = intercept[Exception](f)
-    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-      .map(t => String.valueOf(t.getMessage)).mkString("\n")
-  }
-
   private def badWeightDf = {
     val s = ss; import s.implicits._
     Seq[(Int, Option[Long], Long)]((0, Some(10L), 4L), (0, Some(20L), 0L), (1, None, 2L))

@@ -94,41 +94,28 @@ class PrioritySpec extends SparkFunSpec {
 
   // ---------- measures the estimator cannot serve (null, NaN, < 0) ----------
 
-  /** The messages of `f`'s exception and of its causes. */
-  private def failure(f: => Any): String = {
-    val e = intercept[Exception](f)
-    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-      .map(t => String.valueOf(t.getMessage)).mkString("\n")
-  }
-
   private def day(ms: Option[Double]*) = {
     val s = spark; import s.implicits._
     ms.map(m => (0, m)).toDF("t", "m")
   }
 
-  test("a negative measure fails, naming the sampler") {
-    // max(m, 0) would estimate the day {-4, 2} as 2 against an exact -2.
+  test("a null, NaN or negative measure fails, naming the sampler") {
     val p = Priority(2, "m")
-    val msg = failure(p.sample(day(Some(-4.0), Some(2.0))).collect())
-    assert(msg.contains(p.name) && msg.contains("must be >= 0"), msg)
-  }
-
-  test("a NaN measure fails, naming the sampler") {
-    // A NaN priority ranks first and turns its day's estimate into NaN.
-    val p = Priority(2, "m")
-    val msg = failure(p.sample(day(Some(Double.NaN), Some(2.0), Some(5.0))).collect())
-    assert(msg.contains(p.name) && msg.contains("must be >= 0"), msg)
-  }
-
-  test("a null measure fails, naming the sampler") {
-    val p = Priority(2, "m")
-    val msg = failure(p.sample(day(None, Some(2.0))).collect())
-    assert(msg.contains(p.name) && msg.contains("must be >= 0"), msg)
+    for (bad <- Seq(
+      // max(m, 0) would estimate the day {-4, 2} as 2 against an exact -2.
+      day(Some(-4.0), Some(2.0)),
+      // A NaN priority ranks first and turns its day's estimate into NaN.
+      day(Some(Double.NaN), Some(2.0), Some(5.0)),
+      day(None, Some(2.0)))) {
+      val msg = failure(p.sample(bad).collect())
+      assert(msg.contains(p.name) && msg.contains("must be >= 0"), msg)
+    }
   }
 
   test("a zero measure stays legal") {
     val s = Priority(2, "m").sample(day(Some(0.0), Some(2.0), Some(0.0), Some(7.0)))
     val est = s.agg(sum(Sampler.estCol("m"))).head.getDouble(0)
-    assert(s.count() == 2 && java.lang.Double.isFinite(est) && est >= 7.0, s"estimate $est")
+    // τ is the third priority, 0, so the estimate is 7 + 2.
+    assert(s.count() == 2 && est == 9.0, s"estimate $est")
   }
 }
