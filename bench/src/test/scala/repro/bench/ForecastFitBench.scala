@@ -1,0 +1,100 @@
+package repro.bench
+
+import java.nio.charset.StandardCharsets
+import java.nio.file.{Files, Path, Paths}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
+import repro.forecast.{Arima, ArimaReference, LstmForecaster, LstmReference}
+import scala.util.Random
+
+/** Times the two forecasters' fits against their slow test-only references
+  * and writes `BENCH_forecast.json` at the repository root:
+  * `LstmForecaster` vs `LstmReference(math.tanh)` and `Arima.autoFit` vs
+  * `ArimaReference.autoFit`. Each pair alternates in this JVM, on the same
+  * fixed 150-day series, after a warm-up; the file records each side's
+  * median and minimum milliseconds and the reference-over-product ratio of
+  * the medians. Run alone with `sbt "bench/testOnly *ForecastFitBench"`.
+  */
+class ForecastFitBench extends AnyFunSuite {
+
+  private val Seed = 7L
+  private val Days = 150
+  private val Series = 4
+  private val Horizon = 7
+
+  private val series: Seq[Array[Double]] = {
+    val rng = new Random(Seed)
+    Seq.fill(Series)(TestData.weeklySeasonal(Days, rng))
+  }
+
+  private case class Side(medianMs: Double, minMs: Double, fits: Int)
+
+  /** Times `product` and `reference` on every series, `reps` times each,
+    * alternating which goes first, after `warmup` untimed rounds.
+    */
+  private def race(warmup: Int, reps: Int)(product: Array[Double] => Any,
+                                          reference: Array[Double] => Any): (Side, Side) = {
+    def ms(f: Array[Double] => Any, y: Array[Double]): Double = {
+      val t0 = System.nanoTime()
+      f(y)
+      (System.nanoTime() - t0) / 1e6
+    }
+    for (_ <- 1 to warmup; y <- series) { product(y); reference(y) }
+    val p = Seq.newBuilder[Double]
+    val r = Seq.newBuilder[Double]
+    for (rep <- 1 to reps; y <- series) {
+      if (rep % 2 == 0) { p += ms(product, y); r += ms(reference, y) }
+      else { r += ms(reference, y); p += ms(product, y) }
+    }
+    def side(xs: Seq[Double]) = {
+      val s = xs.sorted
+      Side((s((s.size - 1) / 2) + s(s.size / 2)) / 2, s.head, s.size)
+    }
+    (side(p.result()), side(r.result()))
+  }
+
+  /** The directory holding `build.sbt` and `bench/`, whichever of the two
+    * the forked test JVM started in.
+    */
+  private def repoRoot: Path =
+    Iterator.iterate(Paths.get("").toAbsolutePath)(_.getParent).takeWhile(_ != null)
+      .find(d => Files.exists(d.resolve("build.sbt")) && Files.isDirectory(d.resolve("bench")))
+      .getOrElse(fail("no repository root above the working directory"))
+
+  test("forecaster fits vs their references: writes BENCH_forecast.json") {
+    val lstm = LstmForecaster()
+    val ref = LstmReference(math.tanh)
+    val lstmRef = new ref.Forecaster()
+    val (lp, lr) = race(warmup = 3, reps = 15)(
+      lstm.fitForecast(_, Horizon, 0.9), lstmRef.fitForecast(_, Horizon, 0.9))
+    val (ap, ar) = race(warmup = 20, reps = 50)(Arima.autoFit(_), ArimaReference.autoFit(_))
+
+    def json(name: String, p: Side, r: Side, extra: String): String =
+      f"""  "$name": {$extra
+         |    "product_ms": {"median": ${p.medianMs}%.3f, "min": ${p.minMs}%.3f},
+         |    "reference_ms": {"median": ${r.medianMs}%.3f, "min": ${r.minMs}%.3f},
+         |    "reference_over_product": ${r.medianMs / p.medianMs}%.3f,
+         |    "timed_fits_per_side": ${p.fits}%d
+         |  }""".stripMargin
+    val body = Seq(
+      s"""{
+         |  "suite": "ForecastFitBench",
+         |  "series": {"count": $Series, "length": $Days, "shape": "TestData.weeklySeasonal", "seed": $Seed},
+         |  "nproc": ${Runtime.getRuntime.availableProcessors},
+         |  "java": "${System.getProperty("java.version")}",""".stripMargin,
+      json("lstm", lp, lr,
+        s"""
+           |    "product": "LstmForecaster()", "reference": "LstmReference(math.tanh)",
+           |    "epochs": ${lstm.epochs}, "hidden": ${lstm.hidden}, "window": ${lstm.window},
+           |    "horizon": $Horizon,""".stripMargin) + ",",
+      json("arima", ap, ar,
+        s"""
+           |    "product": "Arima.autoFit", "reference": "ArimaReference.autoFit",""".stripMargin),
+      "}\n").mkString("\n")
+    val out = repoRoot.resolve("BENCH_forecast.json")
+    Files.write(out, body.getBytes(StandardCharsets.UTF_8))
+    println(body)
+
+    for (s <- Seq(lp, lr, ap, ar)) assert(s.minMs > 0 && s.minMs <= s.medianMs)
+  }
+}
