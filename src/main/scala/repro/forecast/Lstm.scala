@@ -70,7 +70,8 @@ final case class LstmForecaster(hidden: Int = 4, window: Int = 7,
   * The activations of a forward pass over the `K` steps of a window live in
   * buffers allocated once per instance, where [[gradient]]'s backward pass
   * reads them; training allocates nothing per step or per window. An
-  * instance is therefore not thread-safe: use one per thread.
+  * instance is therefore not thread-safe: use one per thread, as
+  * [[LstmForecaster]] builds one per fit.
   *
   * `tanh` is computed through `math.exp`, as the sigmoids are (see
   * [[Lstm.tanh]]).
@@ -261,8 +262,10 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
 object Lstm {
 
   /** `tanh(x) = 2σ(2x) − 1`, within 1e-15 of `math.tanh`. It goes through
-    * `math.exp`, a JIT intrinsic, where `math.tanh` is a native call that
-    * cost a fit several times the time of its `exp` calls.
+    * `math.exp`, a JIT intrinsic, as the sigmoids do. On JDK 17
+    * `math.tanh` is a native call with no intrinsic, timed at 40–54 ns a
+    * call against 7–13 ns for `math.exp` on a 4-vCPU x86 VM, and a
+    * 200-epoch fit on 150 days makes ≈ 1.6 M tanh calls.
     */
   private[forecast] def tanh(x: Double): Double = 2.0 / (1.0 + math.exp(-2.0 * x)) - 1.0
 }
