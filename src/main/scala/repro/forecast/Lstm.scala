@@ -225,8 +225,8 @@ final class Lstm(val H: Int, val K: Int, seed: Long) {
           }
           jj += 1
         }
-        val th = dh; dh = dhPrev; dhPrev = th
-        val tcp = dc; dc = dcPrev; dcPrev = tcp
+        val sh = dh; dh = dhPrev; dhPrev = sh
+        val sc = dc; dc = dcPrev; dcPrev = sc
         t -= 1
       }
       sample += 1
