@@ -2,6 +2,7 @@ package repro.bench
 
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Path, Paths}
+import java.util.concurrent.ForkJoinPool
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.forecast.{Arima, ArimaReference, LstmForecaster, LstmReference}
@@ -12,8 +13,10 @@ import scala.util.Random
   * `LstmForecaster` vs `LstmReference(math.tanh)` and `Arima.autoFit` vs
   * `ArimaReference.autoFit`. Each pair alternates in this JVM, on the same
   * fixed 150-day series, after a warm-up; the file records each side's
-  * median and minimum milliseconds and the reference-over-product ratio of
-  * the medians. Run alone with `sbt "bench/testOnly *ForecastFitBench"`.
+  * median and minimum milliseconds, the reference-over-product ratio of
+  * the medians, and the threads an LSTM fit runs on (the common pool's
+  * parallelism plus the caller). Each product must beat its reference's
+  * median. Run alone with `sbt "bench/testOnly *ForecastFitBench"`.
   */
 class ForecastFitBench extends AnyFunSuite {
 
@@ -81,6 +84,7 @@ class ForecastFitBench extends AnyFunSuite {
          |  "suite": "ForecastFitBench",
          |  "series": {"count": $Series, "length": $Days, "shape": "TestData.weeklySeasonal", "seed": $Seed},
          |  "nproc": ${Runtime.getRuntime.availableProcessors},
+         |  "threads": ${ForkJoinPool.getCommonPoolParallelism + 1},
          |  "java": "${System.getProperty("java.version")}",""".stripMargin,
       json("lstm", lp, lr,
         s"""
@@ -96,5 +100,7 @@ class ForecastFitBench extends AnyFunSuite {
     println(body)
 
     for (s <- Seq(lp, lr, ap, ar)) assert(s.minMs > 0 && s.minMs <= s.medianMs)
+    assert(lp.medianMs < lr.medianMs, s"LSTM fit median ${lp.medianMs} ms, reference ${lr.medianMs} ms")
+    assert(ap.medianMs < ar.medianMs, s"ARIMA fit median ${ap.medianMs} ms, reference ${ar.medianMs} ms")
   }
 }

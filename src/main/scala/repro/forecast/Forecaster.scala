@@ -44,4 +44,14 @@ object Forecaster {
     val i = series.indexWhere(v => !java.lang.Double.isFinite(v))
     require(i < 0, s"series value ${series(i)} at index $i is not finite")
   }
+
+  /** Reject a horizon below 1 or a confidence level outside (0, 1), before
+    * any model is fitted.
+    *
+    * @throws IllegalArgumentException naming the bad value.
+    */
+  def requireHorizonAndLevel(horizon: Int, level: Double): Unit = {
+    require(horizon >= 1, s"forecast horizon $horizon is not >= 1")
+    require(level > 0 && level < 1, s"confidence level $level is not in (0, 1)")
+  }
 }

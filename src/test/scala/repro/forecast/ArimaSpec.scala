@@ -249,6 +249,16 @@ class ArimaSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("ArimaForecaster rejects a horizon < 1 or a level outside (0, 1), naming it") {
+    val y = TestData.weeklySeasonal(150, new Random(20))
+    for ((horizon, level, named) <- Seq((0, 0.9, "horizon 0"), (-1, 0.9, "horizon -1"),
+                                        (7, 0.0, "level 0.0"), (7, 1.0, "level 1.0"),
+                                        (7, Double.NaN, "level NaN"))) {
+      val e = intercept[IllegalArgumentException](ArimaForecaster().fitForecast(y, horizon, level))
+      assert(e.getMessage.contains(named), e.getMessage)
+    }
+  }
+
   // ---------- bit-identity with the reference search ----------
 
   private def sameBits(a: Double, b: Double): Boolean =

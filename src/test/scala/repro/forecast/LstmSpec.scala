@@ -1,14 +1,17 @@
 package repro.forecast
 
+import java.util.concurrent.{Callable, ForkJoinPool, ForkJoinWorkerThread}
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropSupport, TestData}
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 /** Tests for the pure-Scala LSTM forecaster: exact gradient correctness
   * (numerical check), learning capacity on known signals, determinism, the
-  * Forecaster contract, and agreement with the slow [[LstmReference]].
+  * Forecaster contract, agreement with the slow [[LstmReference]], and a
+  * parallel gradient that is bit-identical whatever its thread count.
   */
 class LstmSpec extends AnyFunSuite with PropSupport {
 
@@ -223,13 +226,86 @@ class LstmSpec extends AnyFunSuite with PropSupport {
     val y = TestData.weeklySeasonal(150, new Random(21))
     val threads = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
-    val id = Thread.currentThread().getId
+    // The caller and the common pool's workers: every thread a fit runs on.
+    def fitThreads(): Array[Long] =
+      (Thread.currentThread().getId +: Thread.getAllStackTraces.keySet.asScala.toSeq.collect {
+        case t: ForkJoinWorkerThread if t.getPool eq ForkJoinPool.commonPool() => t.getId
+      }).toArray
     for (_ <- 1 to 3) LstmForecaster().fitForecast(y, 7, 0.9)
-    val before = threads.getThreadAllocatedBytes(id)
+    val ids = fitThreads()
+    val before = threads.getThreadAllocatedBytes(ids)
     LstmForecaster().fitForecast(y, 7, 0.9)
-    val bytes = threads.getThreadAllocatedBytes(id) - before
-    assert(before > 0, "per-thread allocation accounting is unavailable")
-    info(s"fitForecast allocated $bytes bytes")
+    val after = threads.getThreadAllocatedBytes(ids)
+    val started = fitThreads().diff(ids)
+    assert(before(0) > 0, "per-thread allocation accounting is unavailable")
+    assert(after.forall(_ >= 0), "a pool worker ended during the fit; its bytes are lost")
+    val bytes = ids.indices.map(i => after(i) - before(i)).sum +
+      threads.getThreadAllocatedBytes(started).sum
+    info(s"fitForecast allocated $bytes bytes over ${ids.length + started.length} threads")
     assert(bytes < 1000000L, s"fitForecast allocated $bytes bytes")
+  }
+
+  // ---------- the parallel gradient ----------
+
+  test("trained weights are bit-identical whatever the number of gradient threads") {
+    checkProp(Prop.forAll(genCase) { c =>
+      val (xs, ys) = windows(series(c.kind, c.n, c.seed), c.window)
+      val nets = Seq(new Lstm(c.hidden, c.window, c.seed)) ++
+        Seq(1, 2, 7).map(new Lstm(c.hidden, c.window, c.seed, _))
+      nets.foreach(_.train(xs, ys, c.epochs, 0.02))
+      nets.tail.forall(n => sameBits(n.w, nets.head.w)) :| s"weights differ: $c"
+    }, minTests = 50)
+  }
+
+  test("fewer windows than threads still train bit-identically to LstmReference") {
+    val ref = LstmReference(Lstm.tanh)
+    for (window <- Seq(2, 7); threads <- Seq(5, 7, 16)) {
+      val y = TestData.weeklySeasonal(window + 4, new Random(window))
+      val (xs, ys) = windows(y, window)
+      val net = new Lstm(4, window, 42, threads)
+      val refNet = new ref.Net(4, window, 42)
+      net.train(xs, ys, 50, 0.02)
+      refNet.train(xs, ys, 50, 0.02)
+      assert(sameBits(net.w, refNet.w), s"window $window, $threads threads")
+    }
+  }
+
+  test("a fit is bit-identical alone, in a 1- or 4-worker pool and beside another") {
+    val ys = Seq.tabulate(2)(i => TestData.weeklySeasonal(150, new Random(30 + i)))
+    def fit(y: Array[Double]): Forecast = LstmForecaster(epochs = 60).fitForecast(y, 7, 0.9)
+    def same(a: Forecast, b: Forecast): Boolean =
+      sameBits(a.point, b.point) && sameBits(a.lo, b.lo) && sameBits(a.hi, b.hi)
+    val alone = ys.map(fit)
+
+    for (workers <- Seq(1, 4)) {
+      val pool = new ForkJoinPool(workers)
+      try {
+        val inPool = ys.map(y => pool.submit(new Callable[Forecast] { def call() = fit(y) }).get())
+        assert(alone.zip(inPool).forall { case (a, b) => same(a, b) }, s"ForkJoinPool($workers)")
+      } finally pool.shutdown()
+    }
+
+    val results = Array.fill(2)(Seq.empty[Forecast])
+    val failures = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]
+    val threads = Seq.tabulate(2) { t =>
+      new Thread(() =>
+        try results(t) = Seq.fill(3)(ys.map(fit)).flatten
+        catch { case e: Throwable => failures.add(e) })
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(failures.isEmpty, failures.asScala.mkString("; "))
+    for (t <- 0 until 2; (fc, i) <- results(t).zipWithIndex)
+      assert(same(fc, alone(i % 2)), s"thread $t, fit $i")
+  }
+
+  test("LstmForecaster rejects a horizon < 1 or a level outside (0, 1), naming it") {
+    val y = TestData.weeklySeasonal(150, new Random(22))
+    for ((horizon, level, named) <- Seq((0, 0.9, "horizon 0"), (-1, 0.9, "horizon -1"),
+                                        (7, 0.0, "level 0.0"), (7, 1.0, "level 1.0"),
+                                        (7, Double.NaN, "level NaN"))) {
+      val e = intercept[IllegalArgumentException](LstmForecaster().fitForecast(y, horizon, level))
+      assert(e.getMessage.contains(named), e.getMessage)
+    }
   }
 }
