@@ -1,7 +1,11 @@
 package repro.sampling
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.DoubleType
+import scala.collection.mutable.ArrayBuilder
 
 /** GSW (Generalized Smoothed Weighted) sampling — the paper's core
   * contribution (§4.1).
@@ -27,7 +31,7 @@ import org.apache.spark.sql.functions._
   *
   * @param delta      the Δ knob: larger Δ ⇒ smaller sample
   * @param weight     sampling-weight expression; [[sample]] fails on a row
-  *                   where it is null, NaN or ≤ 0
+  *                   where it is null, NaN, infinite or ≤ 0
   * @param weightName display name of the weight choice for bench tables
   * @param ms         measures to carry calibrated estimate columns for
   * @param seed       deterministic seed for the per-row uniform draws. Must
@@ -46,17 +50,19 @@ final case class GSW(delta: Double, weight: Column, weightName: String,
   /** Draw the sample.
     *
     * @throws org.apache.spark.SparkRuntimeException when the sample is
-    *         evaluated, if any row's weight is null, NaN or ≤ 0 (e.g. a
-    *         geometric weight over a zero measure, since Spark's `log(0)` is
-    *         NULL): such a row could never be drawn, or would be drawn with
-    *         probability > 1, biasing every estimate without an error
+    *         evaluated, if any row's weight is null, NaN, infinite or ≤ 0
+    *         (e.g. a geometric weight over a zero measure, since Spark's
+    *         `log(0)` is NULL): such a row could never be drawn, or would be
+    *         drawn with probability > 1, biasing every estimate without an
+    *         error
     */
   override def sample(df: DataFrame): DataFrame = {
     val w = weight.cast("double")
     // A literal message: formatting the bad value would cost every query
     // that samples a few tens of ms of code generation.
-    val checked = when(w.isNull || w.isNaN || w <= 0, raise_error(
-      lit(s"$name: a sampling weight is null, NaN or <= 0; it must be positive"))).otherwise(w)
+    val checked = when(w.isNull || w.isNaN || w <= 0 || w === Double.PositiveInfinity,
+      raise_error(lit(s"$name: a sampling weight is null, NaN, infinite or <= 0; " +
+        "it must be positive and finite"))).otherwise(w)
     val drawn = df
       .withColumn(GSW.WeightCol, checked)
       .withColumn(GSW.DrawCol, rand(seed))
@@ -114,34 +120,119 @@ object GSW {
         "w=gmean", ms, seed)
   }
 
-  /** Expected sample size `E[|S_Δ|] = Σ_i w_i/(Δ+w_i)` (eq. 13), computed
-    * with one Spark aggregation.
-    */
-  def expectedSize(df: DataFrame, weight: Column, delta: Double): Double =
-    df.select(sum(weight.cast("double") / (weight.cast("double") + delta)) as "s")
-      .head.getDouble(0)
-
-  /** Find Δ so the expected sample size is ≈ `rate × |df|`.
+  /** Find Δ so the expected sample size `E|S_Δ| = Σ_i w_i/(Δ+w_i)` (eq. 13)
+    * is ≈ `rate × |df|`, with one Spark job.
     *
-    * Starts from the closed-form `Δ₀ = W/(rate·n)` (exact when `w ≪ Δ`,
-    * eq. 13) and refines with multiplicative fixed-point steps
-    * `Δ ← Δ · E[|S_Δ|]/target`, each step one Spark aggregation. Three
-    * steps land well within a few percent of the target for our data.
+    * The job builds a weight table: each partition sorts its weights in a
+    * primitive array and returns its distinct values with their counts; the
+    * driver merges those into one ascending table of `(v, c_v)`. The table
+    * has one entry per distinct weight: few for the integer measures, and at
+    * most `|df|` for real-valued weights such as the geometric mean.
+    *
+    * The rest runs on the driver, over the table. It starts from the
+    * closed-form `Δ₀ = W/(rate·n)` (exact when `w ≪ Δ`) and refines with
+    * `refineSteps` multiplicative fixed-point steps `Δ ← Δ·E(Δ)/target`,
+    * where `E(Δ) = Σ c_v·v/(Δ+v)`. Three steps land well within a few percent
+    * of the target for our data. Every sum runs in ascending `v`, so Δ
+    * depends only on the multiset of weights, not on how `df` is partitioned.
+    *
+    * @throws IllegalArgumentException if `df` is empty, or if any row's
+    *         weight is null, NaN, infinite or ≤ 0 (the message names
+    *         `weight` and counts those rows)
     */
   def deltaForRate(df: DataFrame, weight: Column, rate: Double,
                    refineSteps: Int = 3): Double = {
     require(rate > 0 && rate < 1, s"deltaForRate: rate=$rate out of (0,1)")
-    val agg = df.select(sum(weight.cast("double")) as "w", count(lit(1)) as "n").head
-    val totalW = agg.getDouble(0)
-    val n = agg.getLong(1)
+    val qe = df.select(weight.cast(DoubleType)).queryExecution
+    val parts = SQLExecution.withNewExecutionId(qe, Some("GSW.deltaForRate")) {
+      qe.toRdd.mapPartitions(rows => Iterator(WeightTable.of(rows))).collect()
+    }
+    val table = WeightTable.merged(parts)
+    require(table.invalid == 0, s"deltaForRate: the weight ${df.select(weight).columns.head} " +
+      s"is null, NaN, infinite or <= 0 in ${table.invalid} row(s); every weight must be " +
+      "positive and finite")
+    val n = table.counts.sum
+    require(n > 0, "deltaForRate: no rows to size a sample for")
     val target = rate * n
-    var delta = totalW / target
+    var delta = table.total / target
     var step = 0
     while (step < refineSteps) {
-      val size = expectedSize(df, weight, delta)
-      delta = delta * size / target
+      delta = delta * table.expectedSize(delta) / target
       step += 1
     }
     delta
+  }
+}
+
+/** Distinct valid weights in ascending order with their counts, and the
+  * number of invalid (null, NaN, infinite or ≤ 0) weights. Sums run in
+  * ascending `values`.
+  */
+private final class WeightTable(val values: Array[Double], val counts: Array[Long],
+                                val invalid: Long) extends Serializable {
+
+  /** `W = Σ c_v·v`. */
+  def total: Double = {
+    var s = 0.0
+    var i = 0
+    while (i < values.length) { s += counts(i) * values(i); i += 1 }
+    s
+  }
+
+  /** `E(Δ) = Σ c_v·v/(Δ+v)`. */
+  def expectedSize(delta: Double): Double = {
+    var s = 0.0
+    var i = 0
+    while (i < values.length) { s += counts(i) * values(i) / (delta + values(i)); i += 1 }
+    s
+  }
+}
+
+private object WeightTable {
+
+  /** The table of one partition's rows of one double column. */
+  def of(rows: Iterator[InternalRow]): WeightTable = {
+    val valid = new ArrayBuilder.ofDouble
+    var invalid = 0L
+    rows.foreach { r =>
+      val w = if (r.isNullAt(0)) Double.NaN else r.getDouble(0)
+      if (w > 0 && w < Double.PositiveInfinity) valid += w else invalid += 1
+    }
+    val sorted = valid.result()
+    java.util.Arrays.sort(sorted)
+    val values = new ArrayBuilder.ofDouble
+    val counts = new ArrayBuilder.ofLong
+    var i = 0
+    while (i < sorted.length) {
+      var j = i + 1
+      while (j < sorted.length && sorted(j) == sorted(i)) j += 1
+      values += sorted(i)
+      counts += j - i
+      i = j
+    }
+    new WeightTable(values.result(), counts.result(), invalid)
+  }
+
+  /** One table of the rows of all `parts`, merged pairwise in rounds. */
+  def merged(parts: Array[WeightTable]): WeightTable = {
+    var round = parts.toSeq
+    while (round.size > 1) round = round.grouped(2).map(_.reduce(merge)).toSeq
+    round.headOption.getOrElse(new WeightTable(Array.emptyDoubleArray, Array.emptyLongArray, 0))
+  }
+
+  private def merge(a: WeightTable, b: WeightTable): WeightTable = {
+    val values = new ArrayBuilder.ofDouble
+    val counts = new ArrayBuilder.ofLong
+    var i = 0
+    var j = 0
+    while (i < a.values.length || j < b.values.length) {
+      val takeA = j == b.values.length || (i < a.values.length && a.values(i) <= b.values(j))
+      val takeB = i == a.values.length || (j < b.values.length && b.values(j) <= a.values(i))
+      values += (if (takeA) a.values(i) else b.values(j))
+      counts += (if (takeA) a.counts(i) else 0L) + (if (takeB) b.counts(j) else 0L)
+      if (takeA) i += 1
+      if (takeB) j += 1
+    }
+    new WeightTable(values.result(), counts.result(), a.invalid + b.invalid)
   }
 }

@@ -1,5 +1,7 @@
 package repro.sampling
 
+import java.nio.file.Files
+import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions._
 import repro.{LocalSampling, Oracle, SparkFunSpec, TestData}
 import scala.util.Random
@@ -28,7 +30,7 @@ class GSWSpec extends SparkFunSpec {
   }
 
   test("paper example: expected sample size E|S| = Σ w/(Δ+w) = 1.525") {
-    val e = GSW.expectedSize(exampleDf, col("w"), 30.0)
+    val e = GSWReference.expectedSize(exampleDf, col("w"), 30.0)
     assert(math.abs(e - 1.525) < 1e-12)
   }
 
@@ -73,7 +75,7 @@ class GSWSpec extends SparkFunSpec {
 
   test("actual sample size concentrates around the expected size") {
     val delta = 200.0
-    val expected = GSW.expectedSize(ad, col("impression"), delta)
+    val expected = GSWReference.expectedSize(ad, col("impression"), delta)
     val actual = GSW.optimal(delta, "impression").sample(ad).count()
     // Poisson-binomial: sd ≤ sqrt(E); allow 5 sd.
     assert(math.abs(actual - expected) < 5 * math.sqrt(expected) + 5,
@@ -132,10 +134,87 @@ class GSWSpec extends SparkFunSpec {
   test("deltaForRate hits the requested rate within 10%") {
     for (rate <- Seq(0.01, 0.05)) {
       val delta = GSW.deltaForRate(ad, col("impression"), rate)
-      val e = GSW.expectedSize(ad, col("impression"), delta)
+      val e = GSWReference.expectedSize(ad, col("impression"), delta)
       val n = ad.count().toDouble
       assert(math.abs(e / n - rate) < 0.1 * rate, s"rate=$rate got ${e / n}")
     }
+  }
+
+  test("sample fails on an infinite weight, naming the sampler") {
+    // w/(Δ+w) would be ∞/∞ = NaN: the row could never be drawn.
+    val s = ss; import s.implicits._
+    val df = Seq((0, 1.0), (0, Double.PositiveInfinity)).toDF("t", "w")
+    val inf = GSW(30, col("w"), "w=w", Seq("w"))
+    val msg = failure(inf.sample(df).count())
+    assert(msg.contains(inf.name) && msg.contains("must be positive"), msg)
+  }
+
+  // ---------- Δ sizing: one Spark job vs the four-pass reference ----------
+
+  private val ms = repro.data.AdSchema.Measures
+
+  private def sizingWeights =
+    ms.map(m => s"Opt-GSW($m)" -> col(m)) ++ Seq(
+      "arithmetic" -> GSW.arithmetic(1, ms).weight,
+      "geometric" -> GSW.geometric(1, ms).weight)
+
+  test("deltaForRate matches the four-pass reference to 1e-12") {
+    for ((name, w) <- sizingWeights; rate <- Seq(0.01, 0.05, 0.2)) {
+      val delta = GSW.deltaForRate(ad, w, rate)
+      val reference = GSWReference.deltaForRate(ad, w, rate)
+      assert(math.abs(delta - reference) <= 1e-12 * reference,
+        s"$name at rate $rate: Δ=$delta vs reference $reference")
+    }
+  }
+
+  test("deltaForRate runs one Spark job") {
+    for ((name, w) <- sizingWeights) {
+      val (_, jobs) = JobCounter(spark.sparkContext)(GSW.deltaForRate(ad, w, 0.05))
+      assert(jobs == 1, s"$name: $jobs Spark jobs")
+    }
+  }
+
+  test("deltaForRate is bit-identical across partitionings and Parquet") {
+    val dir = Files.createTempDirectory("gsw-delta")
+    try {
+      val path = dir.resolve("ad").toString
+      ad.write.parquet(path)
+      val layouts = Seq("repartition(1)" -> ad.repartition(1),
+        "repartition(7)" -> ad.repartition(7), "Parquet" -> spark.read.parquet(path))
+      for ((name, w) <- sizingWeights) {
+        val native = GSW.deltaForRate(ad, w, 0.05)
+        for ((layout, df) <- layouts) {
+          val delta = GSW.deltaForRate(df, w, 0.05)
+          assert(delta == native, s"$name after $layout: Δ=$delta vs $native natively")
+        }
+      }
+    } finally {
+      Files.walk(dir).sorted(java.util.Comparator.reverseOrder()).forEach(p => Files.delete(p))
+    }
+  }
+
+  test("Opt-GSW layers at the new and the reference Δ hold the same rows") {
+    for (m <- ms) {
+      val cols = (ad.columns :+ GSW.DrawCol).map(col)
+      def rows(delta: Double) = GSW.optimal(delta, m).sample(ad).select(cols: _*)
+      val a = rows(GSW.deltaForRate(ad, col(m), 0.05))
+      val b = rows(GSWReference.deltaForRate(ad, col(m), 0.05))
+      assert(a.count() == b.count() && a.exceptAll(b).isEmpty && b.exceptAll(a).isEmpty, m)
+    }
+  }
+
+  test("deltaForRate rejects invalid weights, counting them, and no rows") {
+    val s = ss; import s.implicits._
+    val df = Seq[Option[Double]](Some(1.0), Some(2.0), None, Some(Double.NaN),
+      Some(Double.PositiveInfinity), Some(Double.NegativeInfinity), Some(0.0), Some(-2.0))
+      .toDF("w")
+    val e = intercept[IllegalArgumentException](GSW.deltaForRate(df, col("w") * 2, 0.5))
+    assert(e.getMessage.contains("(w * 2)") && e.getMessage.contains("in 6 row(s)"), e.getMessage)
+    // The one null measure that Spark's sum would skip while count counts it.
+    val nul = intercept[IllegalArgumentException](GSW.deltaForRate(badWeightDf, col("a"), 0.5))
+    assert(nul.getMessage.contains("weight a ") && nul.getMessage.contains("in 1 row(s)"),
+      nul.getMessage)
+    intercept[IllegalArgumentException](GSW.deltaForRate(df.filter(lit(false)), col("w"), 0.5))
   }
 
   // ---------- estimation properties (Spark side) ----------

@@ -64,7 +64,7 @@ class IncrementalGSWSpec extends SparkFunSpec {
     val samplerNew = GSW.optimal(600, "impression", seed = 57)
     val initial = GSW.optimal(150, "impression", seed = 57).sample(old)
     val appended = IncrementalGSW.append(initial, 600, fresh, samplerNew)
-    val expected = GSW.expectedSize(ad, col("impression"), 600)
+    val expected = GSWReference.expectedSize(ad, col("impression"), 600)
     assert(math.abs(appended.count() - expected) < 5 * math.sqrt(expected) + 5)
   }
 
