@@ -9,8 +9,8 @@ import repro.sampling.Sampler
   *
   * @param layer   layer name, e.g. "0.1%"
   * @param sampler the sampler that produced it
-  * @param df      cached sample relation with `est_*` columns; incremental
-  *                maintenance and the DuckDB oracle read it
+  * @param df      sample relation with `est_*` columns, persisted; its first
+  *                Spark reader (maintenance, the DuckDB oracle) fills the cache
   * @param rows    materialized sample row count (space cost)
   * @param copy    the layer's driver copy, evaluated at most once, on first
   *                use
@@ -39,26 +39,26 @@ object StoredSample {
 
 /** Multi-layer sample store (§3.2, §5): FlashP keeps samples of several
   * sizes (increasing Δ) per relation and picks a layer per the caller's
-  * latency/accuracy requirement. Adding a layer runs the offline sampler,
-  * caches the result in memory and copies it to the driver in the same
-  * Spark job — after that, online queries run no Spark job and never touch
-  * the base table. A layer built outside the store (`StoredSample(...)`)
-  * makes its copy on its first query instead.
+  * latency/accuracy requirement. Adding a layer runs the offline sampler and
+  * copies the draw to the driver in one Spark job, which holds it once —
+  * after that, online queries run no Spark job and never touch the base
+  * table. A layer built outside the store (`StoredSample(...)`) makes its
+  * copy on its first query instead.
   */
 final class SampleStore {
   private var layers: Vector[StoredSample] = Vector.empty
 
-  /** Draw, cache and register a layer. A layer of the same name is replaced
-    * and unpersisted, after the new one is materialised. If drawing or
-    * copying the layer fails, its cache entry is dropped and the error
-    * rethrown.
+  /** Draw a layer, copy it to the driver in one Spark job and register it,
+    * replacing and unpersisting a layer of the same name. `df` is persisted
+    * unfilled: its first Spark reader draws again from `full`, which equals
+    * the copy only if `full` reads back the same rows in the same partitions
+    * (a cached relation, unchanged files, a seeded `SynthData.adTraffic`).
     */
   def add(layer: String, sampler: Sampler, full: DataFrame): StoredSample = {
-    val df = sampler.sample(full).persist(StorageLevel.MEMORY_ONLY)
-    val columns =
-      try SampleColumns.collect(df, sampler.measures)
-      catch { case e: Throwable => df.unpersist(); throw e }
-    val stored = new StoredSample(layer, sampler, df, columns.rows, columns)
+    val df = sampler.sample(full)
+    val columns = SampleColumns.collect(df, sampler.measures)
+    val stored = new StoredSample(layer, sampler, df.persist(StorageLevel.MEMORY_ONLY),
+      columns.rows, columns)
     layers.indexWhere(_.layer == layer) match {
       case -1 => layers :+= stored
       case i =>

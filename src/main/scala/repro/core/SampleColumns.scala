@@ -22,8 +22,8 @@ import repro.sampling.Sampler
   * sampler's measures is one `Array[Double]`.
   *
   * Every [[StoredSample]] is answered from one: [[SampleStore.add]] makes it
-  * in the job that materialises the layer's cache, `StoredSample(...)` on
-  * the layer's first query.
+  * in the one job that draws the layer, `StoredSample(...)` on the layer's
+  * first query.
   *
   * [[series]] answers a task without a Spark job. It equals
   * [[Estimator.estimateSeries]] over the layer's DataFrame up to the order in
@@ -83,8 +83,7 @@ object SampleColumns {
     * `est_<m>` columns of `measures`. Each partition fills primitive arrays
     * with its own dictionaries (no `Row` per sample row); the driver
     * concatenates them in partition order, merges the dictionaries and
-    * groups the rows by day. If `df` is persisted and not yet materialised,
-    * the same job materialises the cache.
+    * groups the rows by day; if `df` is persisted, the job fills its cache.
     */
   def collect(df: DataFrame, measures: Seq[String]): SampleColumns = {
     val time = AdSchema.TimeCol

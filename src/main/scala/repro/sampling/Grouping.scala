@@ -88,7 +88,7 @@ object Grouping {
   /** Greedy 2-approximation for k-center [28] over the measures, using a
     * precomputed distance map: pick the first measure as a center, then
     * repeatedly promote the measure farthest from its nearest center;
-    * finally assign every measure to its nearest center.
+    * finally assign each non-center to its nearest center.
     *
     * @return groups of measures, one per center, in center-pick order
     */
@@ -102,7 +102,7 @@ object Grouping {
         .maxBy(m => centers.map(c => d(m, c)).min)
       centers :+= next
     }
-    val assignment = ms.groupBy(m => centers.minBy(c => d(m, c)))
+    val assignment = ms.groupBy(m => if (centers.contains(m)) m else centers.minBy(d(m, _)))
     centers.map(c => assignment(c))
   }
 }

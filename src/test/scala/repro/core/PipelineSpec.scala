@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.{SparkFunSpec, TestData}
@@ -26,6 +27,26 @@ class PipelineSpec extends SparkFunSpec {
     assert(store.get("5%").eq(stored))
     store.clear()
     assert(store.all.isEmpty)
+  }
+
+  test("SampleStore: add copies the layer in one Spark job and caches it on first read") {
+    val sc = spark.sparkContext
+    val sampler = GSW.optimal(GSW.deltaForRate(ad, col("impression"), 0.05), "impression",
+      seed = 3013)
+    val store = new SampleStore
+    val before = sc.getRDDStorageInfo
+    val (stored, jobs) = JobCounter(sc)(store.add("5%", sampler, ad))
+    assert(jobs == 1, s"add ran $jobs Spark jobs")
+    assert(sc.getRDDStorageInfo.map(_.memSize).sum == before.map(_.memSize).sum,
+      "add cached blocks")
+    assert(stored.df.storageLevel == StorageLevel.MEMORY_ONLY)
+    assert(stored.df.count() == stored.rows)
+    val filled = sc.getRDDStorageInfo.filterNot(i => before.exists(_.id == i.id))
+    assert(filled.length == 1, filled.mkString("; "))
+    assert(filled.head.memSize > 0 && filled.head.numCachedPartitions == filled.head.numPartitions,
+      filled.head.toString)
+    store.clear()
+    assert(sc.getRDDStorageInfo.map(_.id).sorted.sameElements(before.map(_.id).sorted))
   }
 
   test("SampleStore: re-adding a layer name replaces and unpersists the old layer") {

@@ -1,9 +1,10 @@
 package repro.core
 
+import java.nio.file.Files
 import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
-import repro.{SparkFunSpec, TestData}
+import repro.{SparkFunSpec, SynthData, TestData}
 import repro.data.AdSchema
 import repro.sampling._
 
@@ -56,6 +57,32 @@ class SampleColumnsSpec extends SparkFunSpec {
       }
       store.clear()
     }
+
+  test("a layer added over an uncached relation equals the Spark estimator on its df") {
+    // `add` copies one draw and its cache is filled by another; over a
+    // seeded generator or unchanged files both read the same rows.
+    val dir = Files.createTempDirectory("layer-base")
+    try {
+      val path = dir.resolve("ad").toString
+      ad.write.parquet(path)
+      // A seed other than the fixture's, whose cached plan Spark would use.
+      val generated = SynthData.adTraffic(spark, sf = 1e-4, days = 20, seed = 4012)
+      val bases = Seq("SynthData.adTraffic" -> generated, "Parquet" -> spark.read.parquet(path))
+      val sampler = samplers.toMap.apply("arithmetic GSW")
+      for ((name, base) <- bases) {
+        assert(base.storageLevel == StorageLevel.NONE, name)
+        val store = new SampleStore
+        val layer = store.add(name, sampler, base)
+        pool.zipWithIndex.foreach { case (c, i) =>
+          assertSameSeries(layer, task(sampler.measures(i % sampler.measures.size), c))
+        }
+        assert(layer.df.count() == layer.rows, name)
+        store.clear()
+      }
+    } finally {
+      Files.walk(dir).sorted(java.util.Comparator.reverseOrder()).forEach(p => Files.delete(p))
+    }
+  }
 
   private lazy val withNulls = ad
     .withColumn("gender", when(col("age") < 30, lit(null).cast("string")).otherwise(col("gender")))

@@ -127,6 +127,18 @@ class GroupingSpec extends SparkFunSpec with PropSupport {
     }
   }
 
+  test("greedy k-center: centers at distance 0 each keep their own group") {
+    // Proportional measures are at normalized L1 distance 0.
+    val d2 = Map(("a", "b") -> 0.0, ("b", "a") -> 0.0)
+    assert(Grouping.greedyKCenter(Seq("a", "b"), d2, 2) == Seq(Seq("a"), Seq("b")))
+    val d3 = Map(("a", "b") -> 0.0, ("b", "a") -> 0.0, ("a", "c") -> 1.0,
+                 ("c", "a") -> 1.0, ("b", "c") -> 1.0, ("c", "b") -> 1.0)
+    assert(Grouping.greedyKCenter(Seq("a", "b", "c"), d3, 3) ==
+      Seq(Seq("a"), Seq("c"), Seq("b")))
+    assert(Grouping.greedyKCenter(Seq("a", "b", "c"), d3, 2) ==
+      Seq(Seq("a", "b"), Seq("c")))
+  }
+
   test("greedy k-center: invalid g rejected") {
     val ms = repro.data.AdSchema.Measures
     val d = Grouping.pairwiseL1(ad, ms)
