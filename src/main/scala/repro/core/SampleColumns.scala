@@ -83,7 +83,7 @@ object SampleColumns {
     * `est_<m>` columns of `measures`. Each partition fills primitive arrays
     * with its own dictionaries (no `Row` per sample row); the driver
     * concatenates them in partition order, merges the dictionaries and
-    * groups the rows by day; if `df` is persisted, the job fills its cache.
+    * groups the rows by day; if `df` is persisted unfilled, the job fills it.
     */
   def collect(df: DataFrame, measures: Seq[String]): SampleColumns = {
     val time = AdSchema.TimeCol
