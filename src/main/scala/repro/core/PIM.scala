@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.data.AdSchema
+import repro.sampling.Sampler
 
 /** PIM (Partwise Independence Model) baseline, after Agarwal et al.,
   * "Forecasting high-dimensional data" (SIGMOD 2010) [8] — the Bayesian
@@ -12,74 +14,55 @@ import org.apache.spark.sql.functions._
   * Online, a conjunctive constraint `C = ⋀_d C_d` is estimated assuming the
   * dimensions partition the measure mass independently:
   *
-  * `M̂_t(C) = S_t × Π_d ( S_t(C_d) / S_t )`.
+  * `M̂_t(C) = S_t × Π_d ( S_t(C_d) / S_t )`, and 0 on a day with `S_t ≤ 0`.
   *
   * This is exact when the constrained dimensions are independent w.r.t. the
   * measure distribution and biased otherwise — our generator correlates
   * age with occupation/device/tags and with measure intensity precisely so
   * this bias shows up, as it does on the paper's real data (Table 1).
   *
-  * The marginal cubes are built with one Spark GROUP BY per dimension and
-  * collected to the driver (they are tiny: Σ_d |dom(a_d)| × days rows).
+  * The cube is a set of driver copies ([[SampleColumns]]) whose `est_<m>`
+  * is `SUM(m)`: one of `GROUP BY t` for the day totals and one of
+  * `GROUP BY t, d` per [[AdSchema]] dimension `d` of `full`. Building it runs
+  * one Spark job per copy; `S_t(C_d)` is then the copy's series under `C_d`,
+  * so cube values are selected with the predicate semantics of the sample
+  * layers and of Spark.
   *
   * @param full     the full relation
   * @param measures measures to support
-  * @param dims     dimensions the cube covers (constraints must use these)
-  * @param timeCol  day column
   */
-final class PIM(full: DataFrame, measures: Seq[String], dims: Seq[String],
-                timeCol: String = "t") {
+final class PIM(full: DataFrame, measures: Seq[String]) {
 
-  /** (measure, day) -> day total. */
-  private val totals: Map[(String, Int), Double] = {
-    val aggs = measures.map(m => sum(col(m).cast("double")) as m)
-    val rows = full.groupBy(col(timeCol))
-      .agg(aggs.head, aggs.tail: _*)
-      .collect()
-    (for {
-      r <- rows
-      (m, i) <- measures.zipWithIndex
-    } yield (m, r.getInt(0)) -> r.getDouble(i + 1)).toMap
+  private def cube(keys: Seq[String]): SampleColumns = {
+    val sums = measures.map(m => sum(col(m)).cast("double") as Sampler.estCol(m))
+    SampleColumns.collect(full.groupBy((AdSchema.TimeCol +: keys).map(col): _*)
+      .agg(sums.head, sums.tail: _*), measures)
   }
 
-  /** dim -> (day, value, measure) -> marginal mass. */
-  private val marginals: Map[String, Map[(Int, String, String), Double]] =
-    dims.map { d =>
-      val aggs = measures.map(m => sum(col(m).cast("double")) as m)
-      val rows = full.groupBy(col(timeCol), col(d).cast("string") as "v")
-        .agg(aggs.head, aggs.tail: _*)
-        .collect()
-      d -> (for {
-        r <- rows
-        (m, i) <- measures.zipWithIndex
-      } yield (r.getInt(0), r.getString(1), m) -> r.getDouble(i + 2)).toMap
-    }.toMap
+  private val totals = cube(Nil)
 
-  /** Distinct values seen per dimension (for predicate evaluation). */
-  private val domains: Map[String, Seq[String]] =
-    marginals.map { case (d, m) => d -> m.keysIterator.map(_._2).toSeq.distinct }
+  private val marginals: Map[String, SampleColumns] =
+    AdSchema.Dimensions.filter(full.columns.contains).map(d => d -> cube(Seq(d))).toMap
 
-  /** Estimate `SUM(measure)` under `c` for one day. */
-  def estimate(c: Constraint, measure: String, day: Int): Double = {
-    val total = totals.getOrElse((measure, day), 0.0)
-    if (total <= 0.0) return 0.0
-    val byDim = c.preds.groupBy(_.dim)
-    byDim.foldLeft(total) { case (acc, (dim, preds)) =>
-      require(marginals.contains(dim), s"PIM cube does not cover dimension '$dim'")
-      val mass = domains(dim).iterator
-        .filter(v => preds.forall(_.matches(v)))
-        .map(v => marginals(dim).getOrElse((day, v, measure), 0.0))
-        .sum
-      acc * (mass / total)
+  /** Estimated daily series for a task, PIM-style.
+    *
+    * @throws IllegalArgumentException if the constraint names a dimension
+    *         the cube does not cover
+    */
+  def estimateSeries(task: ForecastTask): Array[Double] = {
+    val total = totals.series(task.copy(constraint = Constraint(Nil)))
+    val masses = task.constraint.preds.groupBy(_.dim).toSeq.map { case (d, preds) =>
+      marginals.getOrElse(d, throw new IllegalArgumentException(
+        s"PIM cube does not cover dimension '$d'; it covers " +
+          marginals.keys.toSeq.sorted.mkString(", ")))
+        .series(task.copy(constraint = Constraint(preds)))
+    }
+    Array.tabulate(total.length) { i =>
+      if (total(i) <= 0.0) 0.0
+      else masses.foldLeft(total(i))((acc, mass) => acc * (mass(i) / total(i)))
     }
   }
 
-  /** Estimated daily series for a task, PIM-style. */
-  def estimateSeries(task: ForecastTask): Array[Double] =
-    Array.tabulate(task.trainingDays)(i => estimate(task.constraint, task.measure, task.ts + i))
-
   /** Rows the cube stores — PIM's space cost, reported in benches. */
-  def cubeRows: Long =
-    marginals.valuesIterator.map(m => m.keysIterator.map(k => (k._1, k._2)).toSet.size.toLong).sum +
-      totals.keysIterator.map(_._2).toSet.size
+  def cubeRows: Long = totals.rows + marginals.valuesIterator.map(_.rows).sum
 }

@@ -6,8 +6,10 @@ import org.apache.spark.sql.functions.{col, expr, lit}
 /** A simple predicate on one dimension: `dim op literal`.
   *
   * Keeping constraints structured (rather than free-form SQL strings) is
-  * what lets the PIM baseline evaluate its per-dimension factors; the
-  * Spark estimator just renders them back to a Catalyst expression.
+  * what lets the PIM baseline group them into per-dimension factors. Spark
+  * evaluates the rendered [[sql]]; the driver copies ([[SampleColumns]]),
+  * which answer sample layers and PIM alike, compile it to a dictionary
+  * mask with the same semantics.
   *
   * @param dim     dimension column name
   * @param op      one of =, <>, <, <=, >, >=
@@ -24,20 +26,6 @@ final case class Pred(dim: String, op: String, literal: String, isString: Boolea
 
   /** Catalyst column for pushing the predicate down onto full data/samples. */
   def column: Column = expr(sql)
-
-  /** Evaluate against a single dimension value (as delivered by a collected
-    * PIM cube row). Numeric comparison when both sides parse as numbers.
-    */
-  def matches(value: String): Boolean = {
-    val cmp: Int =
-      if (!isString) {
-        (value.toDoubleOption, literal.toDoubleOption) match {
-          case (Some(a), Some(b)) => java.lang.Double.compare(a, b)
-          case _                  => value.compareTo(literal)
-        }
-      } else value.compareTo(literal)
-    accepts(cmp)
-  }
 
   /** Whether `op` holds for a value that compares to the literal as `cmp`
     * (negative, zero or positive).
@@ -58,8 +46,8 @@ object Pred {
 
 /** A conjunction of per-dimension predicates — the constraint class C the
   * deployed system's Query Rewriter handles (any logical expression is
-  * allowed by the language; conjunctions over distinct dimensions are what
-  * both the paper's workload and the PIM baseline use).
+  * allowed by the language; conjunctions are what the paper's workload
+  * uses, and what the PIM baseline models, with one factor per dimension).
   */
 final case class Constraint(preds: Seq[Pred]) {
 
@@ -109,7 +97,10 @@ object TaskParser {
     """(?is)\s*FORECAST\s+SUM\s*\(\s*(\w+)\s*\)\s+FROM\s+(\w+)\s*(?:WHERE\s+(.+?)\s*)?USING\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*(?:OPTION\s*\((.+?)\)\s*)?""".r
 
   private val PredRe =
-    """(?s)\s*(\w+)\s*(<=|>=|<>|=|<|>)\s*(?:'([^']*)'|([\w.\-]+))\s*""".r
+    """(?s)\s*(\w+)\s*(<=|>=|<>|=|<|>)\s*(?:'((?:[^']|'')*)'|([\w.\-]+))\s*""".r
+
+  /** An `AND` followed by an even number of quotes, so outside any literal. */
+  private val And = """(?i)\s+AND\s+(?=[^']*(?:'[^']*'[^']*)*$)""".r
 
   /** Parse one FORECAST statement.
     * @throws IllegalArgumentException on malformed input, with a hint.
@@ -135,9 +126,9 @@ object TaskParser {
   }
 
   private def parseWhere(where: String): Seq[Pred] =
-    where.split("(?i)\\s+AND\\s+").toSeq.map {
+    And.split(where).toSeq.map {
       case PredRe(dim, op, quoted, bare) =>
-        if (quoted != null) Pred(dim.toLowerCase, op, quoted, isString = true)
+        if (quoted != null) Pred(dim.toLowerCase, op, quoted.replace("''", "'"), isString = true)
         else Pred(dim.toLowerCase, op, bare, isString = bare.toDoubleOption.isEmpty)
       case other =>
         throw new IllegalArgumentException(

@@ -34,7 +34,7 @@ object Table1 {
 
     // Full and PIM answer from the relation and its cube; each sampling
     // method from its own store of layers.
-    val pim = new PIM(df, AdSchema.Measures, AdSchema.Dimensions)
+    val pim = new PIM(df, AdSchema.Measures)
     val stores = Seq(
       "Uniform" -> Seq(Uniform(rate, AdSchema.Measures)),
       "Opt-GSW" -> AdSchema.Measures.map(m => GSW.atRate(df, rate)(GSW.optimal(_, m))),

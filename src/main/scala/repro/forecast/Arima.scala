@@ -306,7 +306,6 @@ object Arima {
 /** [[Forecaster]] adapter over [[Arima.autoFit]]. */
 final case class ArimaForecaster(maxP: Int = 7, maxQ: Int = 2, maxD: Int = 1)
     extends Forecaster {
-  override def name: String = "ARIMA"
   override def fitForecast(series: Array[Double], horizon: Int, level: Double): Forecast = {
     Forecaster.requireHorizonAndLevel(horizon, level)
     Forecaster.requireFinite(series)

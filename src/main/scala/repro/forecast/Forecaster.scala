@@ -24,9 +24,6 @@ final case class Forecast(point: Array[Double], lo: Array[Double], hi: Array[Dou
   */
 trait Forecaster {
 
-  /** Model name for bench tables ("ARIMA", "LSTM"). */
-  def name: String
-
   /** Fit on `series` (one value per time stamp, oldest first) and forecast
     * the next `horizon` values with a `level` confidence band.
     */

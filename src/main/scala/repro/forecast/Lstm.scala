@@ -23,8 +23,6 @@ import repro.num.LinAlg
 final case class LstmForecaster(hidden: Int = 4, window: Int = 7,
                                 epochs: Int = 200, lr: Double = 0.02,
                                 seed: Long = 42) extends Forecaster {
-  override def name: String = "LSTM"
-
   override def fitForecast(series: Array[Double], horizon: Int, level: Double): Forecast = {
     Forecaster.requireHorizonAndLevel(horizon, level)
     Forecaster.requireFinite(series)

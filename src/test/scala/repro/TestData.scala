@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, lit, when}
 import scala.util.Random
 
 /** Shared, lazily cached test fixtures. Generation is deterministic, so
@@ -15,6 +16,13 @@ object TestData {
     df.count() // materialize once
     df
   }
+
+  /** [[ad]] with null dimension values: `gender` is null where `age < 30`
+    * and `city` where `tag_food = 1`. Not cached.
+    */
+  lazy val adWithNulls: DataFrame = ad
+    .withColumn("gender", when(col("age") < 30, lit(null).cast("string")).otherwise(col("gender")))
+    .withColumn("city", when(col("tag_food") === 1, lit(null).cast("int")).otherwise(col("city")))
 
   /** Longer, thinner fixture for end-to-end pipeline tests:
     * 90 days × 150 rows/day.

@@ -2,71 +2,80 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkFunSpec, TestData}
+import repro.data.AdSchema
 
 /** Tests for the PIM baseline [8]: exactness under true partwise
-  * independence, bias under correlation (the effect Table 1 shows), cube
-  * contents (oracle-checked), and error handling.
+  * independence and on any single-dimension constraint, bias under
+  * correlation (the effect Table 1 shows), cube contents (oracle-checked),
+  * and error handling.
   */
 class PIMSpec extends SparkFunSpec {
 
   private lazy val ad = TestData.ad
 
-  /** A relation engineered so dimensions a and b are EXACTLY independent
-    * w.r.t. the (unit) measure mass: counts factorize as n(a)×n(b).
+  /** One cube over every dimension and measure of [[ad]], shared by the suite. */
+  private lazy val pim = new PIM(ad, AdSchema.Measures)
+
+  /** A relation engineered so dimensions gender and device are EXACTLY
+    * independent w.r.t. the (unit) measure mass: counts factorize as
+    * n(gender)×n(device).
     */
   private lazy val independent = {
     val s = spark
     import s.implicits._
     val rows = for {
       t <- 0 until 3
-      (a, na) <- Seq(("x", 1), ("y", 3))
-      (b, nb) <- Seq(("u", 2), ("v", 5))
-      _ <- 0 until na * nb
-    } yield (t, a, b, 1L)
-    rows.toDF("t", "a", "b", "m").cache()
+      (g, ng) <- Seq(("x", 1), ("y", 3))
+      (d, nd) <- Seq(("u", 2), ("v", 5))
+      _ <- 0 until ng * nd
+    } yield (t, g, d, 1L)
+    rows.toDF("t", "gender", "device", "m").cache()
   }
 
+  private lazy val independentPim = new PIM(independent, Seq("m"))
+
+  private def task(measure: String, preds: Seq[Pred], ts: Int, te: Int) =
+    ForecastTask(measure, "ad", Constraint(preds), ts, te)
+
+  /** PIM's estimate for one day. */
+  private def estimate(p: PIM, measure: String, preds: Seq[Pred], day: Int): Double =
+    p.estimateSeries(task(measure, preds, day, day)).head
+
   test("exact on independent dimensions: single-dim constraint") {
-    val pim = new PIM(independent, Seq("m"), Seq("a", "b"))
-    val c = Constraint(Seq(Pred("a", "=", "x", isString = true)))
-    // day total = (1+3)(2+5) = 28; mass(a=x) = 1×7 = 7.
-    assert(pim.estimate(c, "m", 0) == 7.0)
+    // day total = (1+3)(2+5) = 28; mass(gender=x) = 1×7 = 7.
+    assert(estimate(independentPim, "m", Seq(Pred("gender", "=", "x", isString = true)), 0) == 7.0)
   }
 
   test("exact on independent dimensions: two-dim conjunction") {
-    val pim = new PIM(independent, Seq("m"), Seq("a", "b"))
-    val c = Constraint(Seq(
-      Pred("a", "=", "y", isString = true), Pred("b", "=", "v", isString = true)))
+    val preds = Seq(
+      Pred("gender", "=", "y", isString = true), Pred("device", "=", "v", isString = true))
     // truth: 3×5 = 15; PIM: 28 × (21/28) × (20/28) = 15 — exact.
-    assert(math.abs(pim.estimate(c, "m", 1) - 15.0) < 1e-9)
+    assert(math.abs(estimate(independentPim, "m", preds, 1) - 15.0) < 1e-9)
   }
 
   test("PIM series equals exact series on the independent relation") {
-    val pim = new PIM(independent, Seq("m"), Seq("a", "b"))
-    val task = ForecastTask("m", "ind",
-      Constraint(Seq(Pred("a", "=", "x", isString = true),
-                     Pred("b", "=", "u", isString = true))), 0, 2)
-    val est = pim.estimateSeries(task)
-    val exact = Estimator.exactSeries(independent, task)
+    val t = task("m", Seq(Pred("gender", "=", "x", isString = true),
+                          Pred("device", "=", "u", isString = true)), 0, 2)
+    val est = independentPim.estimateSeries(t)
+    val exact = Estimator.exactSeries(independent, t)
     assert(est.indices.forall(i => math.abs(est(i) - exact(i)) < 1e-9),
       s"${est.toSeq} vs ${exact.toSeq}")
   }
 
   test("unconstrained estimate returns the day total") {
-    val pim = new PIM(independent, Seq("m"), Seq("a", "b"))
-    assert(pim.estimate(Constraint(Nil), "m", 0) == 28.0)
+    assert(estimate(independentPim, "m", Nil, 0) == 28.0)
   }
 
   test("missing day estimates to 0") {
-    val pim = new PIM(independent, Seq("m"), Seq("a", "b"))
-    assert(pim.estimate(Constraint(Nil), "m", 999) == 0.0)
+    assert(estimate(independentPim, "m", Nil, 999) == 0.0)
   }
 
   test("constraint on an uncovered dimension throws") {
-    val pim = new PIM(independent, Seq("m"), Seq("a"))
-    intercept[IllegalArgumentException] {
-      pim.estimate(Constraint(Seq(Pred("b", "=", "u", isString = true))), "m", 0)
+    // `age` is a dimension of the schema, but not a column of the relation.
+    val e = intercept[IllegalArgumentException] {
+      estimate(independentPim, "m", Seq(Pred("age", "=", "30", isString = false)), 0)
     }
+    assert(e.getMessage.contains("'age'"), e.getMessage)
   }
 
   test("oracle: PIM per-dimension marginals match DuckDB group-by") {
@@ -80,52 +89,65 @@ class PIMSpec extends SparkFunSpec {
       """SELECT t, gender, SUM(CAST(impression AS BIGINT)) AS mass
         |FROM ad GROUP BY t, gender""".stripMargin,
       "ad" -> ad)
-    val pim = new PIM(ad, Seq("impression"), Seq("gender"))
     val direct = ad.filter(col("gender") === "F" && col("t") === 0)
       .agg(sum("impression")).head.getLong(0).toDouble
-    val est = pim.estimate(Constraint(Seq(Pred("gender", "=", "F", isString = true))),
-      "impression", 0)
+    val est = estimate(pim, "impression", Seq(Pred("gender", "=", "F", isString = true)), 0)
     assert(math.abs(est - direct) < 1e-6,
       "single-dimension PIM estimate must be exact (it IS the marginal)")
   }
 
   test("range predicates aggregate marginal values numerically") {
-    val pim = new PIM(ad, Seq("impression"), Seq("age"))
-    val est = pim.estimate(
-      Constraint(Seq(Pred("age", "<=", "40", isString = false))), "impression", 2)
+    val est = estimate(pim, "impression", Seq(Pred("age", "<=", "40", isString = false)), 2)
     val direct = ad.filter(col("age") <= 40 && col("t") === 2)
       .agg(sum("impression")).head.getLong(0).toDouble
     assert(math.abs(est - direct) < 1e-6,
       "single-dim range estimate must be exact")
   }
 
+  test("single-dimension constraints are exact under Spark's comparison semantics") {
+    // Quoted literals against an integer column compare as numbers, and
+    // null dimension values match no predicate, as in Spark.
+    val withNulls = TestData.adWithNulls
+    val cases = Seq(
+      (ad, pim) -> Seq(
+        Pred("city", "<=", "9", isString = true),
+        Pred("age", "=", "30", isString = true),
+        Pred("age", ">", "3e1", isString = false),
+        Pred("age", "<=", "30.5", isString = false)),
+      (withNulls, new PIM(withNulls, Seq("impression"))) -> Seq(
+        Pred("city", "<=", "20", isString = false),
+        Pred("gender", "<>", "F", isString = true)))
+    for (((df, cube), ps) <- cases; p <- ps) {
+      val t = task("impression", Seq(p), 0, 19)
+      val est = cube.estimateSeries(t)
+      val exact = Estimator.exactSeries(df, t)
+      est.indices.foreach { d =>
+        assert(math.abs(est(d) - exact(d)) <= 1e-9 * math.abs(exact(d)),
+          s"${p.sql}: day $d PIM ${est(d)} vs exact ${exact(d)}")
+      }
+    }
+  }
+
   test("PIM is biased on correlated dimensions (ad data)") {
-    val pim = new PIM(ad, Seq("impression"), Seq("age", "device"))
     // age and device are correlated (young ⇒ mobile) AND both correlate
     // with impression intensity, so the product form must misestimate.
-    val c = Constraint(Seq(Pred("age", "<=", "34", isString = false),
-                           Pred("device", "=", "mobile", isString = true)))
-    val errs = (0 until 10).map { day =>
-      val direct = ad.filter(col("age") <= 34 && col("device") === "mobile" &&
-          col("t") === day)
-        .agg(sum("impression")).head.getLong(0).toDouble
-      math.abs(pim.estimate(c, "impression", day) - direct) / direct
-    }
-    val meanErr = errs.sum / errs.size
+    val t = task("impression", Seq(Pred("age", "<=", "34", isString = false),
+                                   Pred("device", "=", "mobile", isString = true)), 0, 9)
+    val est = pim.estimateSeries(t)
+    val exact = Estimator.exactSeries(ad, t)
+    val meanErr = Metrics.relAggError(est, exact)
     assert(meanErr > 0.05, s"expected visible PIM bias, got $meanErr")
   }
 
   test("cubeRows reports the marginal cube's size") {
-    val pim = new PIM(independent, Seq("m"), Seq("a", "b"))
-    // 3 days × (2 a-values + 2 b-values) + 3 day totals = 15.
-    assert(pim.cubeRows == 15L)
+    // 3 days × (2 gender values + 2 device values) + 3 day totals = 15.
+    assert(independentPim.cubeRows == 15L)
   }
 
   test("supports multiple measures in one cube") {
-    val pim = new PIM(ad, Seq("impression", "click"), Seq("gender"))
-    val c = Constraint(Seq(Pred("gender", "=", "M", isString = true)))
-    val imp = pim.estimate(c, "impression", 1)
-    val clk = pim.estimate(c, "click", 1)
+    val preds = Seq(Pred("gender", "=", "M", isString = true))
+    val imp = estimate(pim, "impression", preds, 1)
+    val clk = estimate(pim, "click", preds, 1)
     assert(imp > clk, "impressions outnumber clicks by construction")
   }
 }

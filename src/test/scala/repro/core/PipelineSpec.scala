@@ -142,8 +142,7 @@ class PipelineSpec extends SparkFunSpec {
   test("runOnSample with compressed GSW serves all four measures") {
     val store = new SampleStore
     val ms = repro.data.AdSchema.Measures
-    val delta = GSW.deltaForRate(ad, ms.map(col).reduce(_ + _) / ms.size, 0.05)
-    val stored = store.add("c5%", GSW.arithmetic(delta, ms, seed = 3003), ad)
+    val stored = store.add("c5%", GSW.atRate(ad, 0.05)(GSW.arithmetic(_, ms, seed = 3003)), ad)
     for (m <- ms) {
       val res = FlashP.runOnSample(mkTask().copy(measure = m), stored)
       assert(res.series.length == 80 && res.forecast.horizon == 7)
@@ -152,7 +151,7 @@ class PipelineSpec extends SparkFunSpec {
   }
 
   test("runOnPim completes and tracks the trend roughly") {
-    val pim = new PIM(ad, Seq("impression"), repro.data.AdSchema.Dimensions)
+    val pim = new PIM(ad, Seq("impression"))
     val res = FlashP.runOnPim(mkTask(), pim)
     val exact = Estimator.exactSeries(ad, mkTask())
     // Single-dimension constraint ⇒ PIM is exact here.
@@ -170,7 +169,7 @@ class PipelineSpec extends SparkFunSpec {
                      Pred("device", "=", "mobile", isString = true))),
       ts = 0, te = 19)
     val exactTotal = Estimator.exactSeries(dense, task).sum
-    val pim = new PIM(dense, Seq("impression"), repro.data.AdSchema.Dimensions)
+    val pim = new PIM(dense, Seq("impression"))
     val pimDev = math.abs(pim.estimateSeries(task).sum - exactTotal) / exactTotal
     val delta = GSW.deltaForRate(dense, col("impression"), 0.05)
     val gswMean = (3201 to 3210).map { seed =>

@@ -35,13 +35,11 @@ class SampleColumnsSpec extends SparkFunSpec {
     ForecastTask(measure, "ad", c, ts, te)
 
   private val ms = AdSchema.Measures
-  private def mean(ms: Seq[String]) = ms.map(col).reduce(_ + _) / ms.size
-  private def gmean(ms: Seq[String]) = exp(ms.map(m => log(col(m))).reduce(_ + _) / ms.size)
 
   private lazy val samplers: Seq[(String, Sampler)] = Seq(
-    "Opt-GSW" -> GSW.optimal(GSW.deltaForRate(ad, col("impression"), 0.05), "impression", 4001),
-    "arithmetic GSW" -> GSW.arithmetic(GSW.deltaForRate(ad, mean(ms), 0.05), ms, 4002),
-    "geometric GSW" -> GSW.geometric(GSW.deltaForRate(ad, gmean(ms), 0.05), ms, 4003),
+    "Opt-GSW" -> GSW.atRate(ad, 0.05)(GSW.optimal(_, "impression", 4001)),
+    "arithmetic GSW" -> GSW.atRate(ad, 0.05)(GSW.arithmetic(_, ms, 4002)),
+    "geometric GSW" -> GSW.atRate(ad, 0.05)(GSW.geometric(_, ms, 4003)),
     "Uniform" -> Uniform(0.05, ms, 4004),
     "Priority" -> Priority(60, "impression", seed = 4005))
 
@@ -84,10 +82,6 @@ class SampleColumnsSpec extends SparkFunSpec {
     }
   }
 
-  private lazy val withNulls = ad
-    .withColumn("gender", when(col("age") < 30, lit(null).cast("string")).otherwise(col("gender")))
-    .withColumn("city", when(col("tag_food") === 1, lit(null).cast("int")).otherwise(col("city")))
-
   test("driver engine equals the Spark estimator on edge cases") {
     val store = new SampleStore
     val layer = store.add("u", Uniform(0.2, ms, 4007), ad)
@@ -97,7 +91,7 @@ class SampleColumnsSpec extends SparkFunSpec {
       .map(df => StoredSample("u", layer.sampler, df.cache(), layer.rows))
     assert(repartitioned.map(_.df.rdd.getNumPartitions) == Seq(1, 16))
     // Null dimension values, and time stamps no task selects.
-    val nullTime = store.add("nulls", Uniform(0.2, ms, 4010), withNulls
+    val nullTime = store.add("nulls", Uniform(0.2, ms, 4010), TestData.adWithNulls
       .withColumn("t", when(col("impression") % 5 === 0, lit(null)).otherwise(col("t"))))
     assert(nullTime.df.filter(col("t").isNull).count() > 0)
     assert(nullTime.rows == nullTime.df.count())
@@ -122,7 +116,7 @@ class SampleColumnsSpec extends SparkFunSpec {
 
   test("driver engine equals the Spark estimator with null dimension values") {
     val store = new SampleStore
-    val layer = store.add("nulls", Uniform(0.2, Seq("impression"), 4008), withNulls)
+    val layer = store.add("nulls", Uniform(0.2, Seq("impression"), 4008), TestData.adWithNulls)
     Seq(
       Constraint(Seq(Pred("gender", "<>", "F", true))),
       Constraint(Seq(Pred("gender", "<", "N", true))),

@@ -54,19 +54,18 @@ class TaskParserSpec extends AnyFunSuite {
       "FORECAST SUM(click) FROM ad WHERE age >= 25 AND tag_tech = 1 USING (10, 40) " +
         "OPTION (MODEL = 'arima', FORE_PERIOD = 7)")
     assert(TaskParser.parse(t.sql) == t)
+    // Quoted literals: an AND inside one, and an escaped quote.
+    val and = TaskParser.parse("FORECAST SUM(click) FROM ad WHERE device = 'a AND b' USING (0, 9)")
+    assert(and.constraint.preds == Seq(Pred("device", "=", "a AND b", isString = true)))
+    assert(TaskParser.parse(and.sql) == and)
+    val quote = t.copy(constraint = Constraint(Seq(
+      Pred("city", "=", "O'Fallon", isString = true), Pred("gender", "=", "F", isString = true))))
+    assert(TaskParser.parse(quote.sql) == quote)
   }
 
   test("constraint SQL escapes single quotes") {
     val p = Pred("city", "=", "O'Fallon", isString = true)
     assert(p.sql == "city = 'O''Fallon'")
-  }
-
-  test("Pred.matches implements numeric and string comparison") {
-    assert(Pred("age", "<=", "30", isString = false).matches("7"))
-    assert(!Pred("age", "<=", "30", isString = false).matches("31"))
-    assert(Pred("age", ">", "9", isString = false).matches("10")) // numeric, not lexicographic
-    assert(Pred("gender", "=", "F", isString = true).matches("F"))
-    assert(Pred("gender", "<>", "F", isString = true).matches("M"))
   }
 
   test("malformed statements throw with a hint") {

@@ -15,8 +15,6 @@ final case class LstmReference(tanh: Double => Double) {
   final class Forecaster(hidden: Int = 4, window: Int = 7,
                          epochs: Int = 200, lr: Double = 0.02,
                          seed: Long = 42) extends repro.forecast.Forecaster {
-    override def name: String = "LSTM"
-
     override def fitForecast(series: Array[Double], horizon: Int, level: Double): Forecast = {
       repro.forecast.Forecaster.requireFinite(series)
       require(series.length >= window + 4,
