@@ -23,8 +23,8 @@ import repro.sampling.Sampler
   *
   * The cube is a set of driver copies ([[SampleColumns]]) whose `est_<m>`
   * is `SUM(m)`: one of `GROUP BY t` for the day totals and one of
-  * `GROUP BY t, d` per [[AdSchema]] dimension `d` of `full`. Building it runs
-  * one Spark job per copy; `S_t(C_d)` is then the copy's series under `C_d`,
+  * `GROUP BY t, d` per [[AdSchema]] dimension `d` of `full`, each made by one
+  * [[SampleColumns.collect]]. `S_t(C_d)` is then the copy's series under `C_d`,
   * so cube values are selected with the predicate semantics of the sample
   * layers and of Spark.
   *
