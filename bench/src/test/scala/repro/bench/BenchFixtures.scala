@@ -15,6 +15,4 @@ object BenchFixtures {
   lazy val df: DataFrame = Harness.data(SparkSpec.shared, cfg)
   lazy val gen: TaskGen = new TaskGen(df)
   lazy val cache: SeriesCache = new SeriesCache(df)
-
-  def meanOf(xs: Seq[Double]): Double = xs.sum / xs.size
 }

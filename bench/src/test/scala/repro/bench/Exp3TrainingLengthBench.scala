@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Exp3
+import repro.exp.Harness.mean
 
 /** Reproduces **Figure 9** (Exp-III): forecast error vs number of training
   * days (Opt-GSW, selectivity 5 %, Impression, ARIMA and LSTM).
@@ -22,8 +23,8 @@ class Exp3TrainingLengthBench extends SparkSpec {
     // (the paper's "150 days is most accurate and stable" claim).
     val shortest = res.rows.filter(_.trainDays == res.rows.map(_.trainDays).min)
     val longest = res.rows.filter(_.trainDays == res.rows.map(_.trainDays).max)
-    val shortErr = meanOf(shortest.map(_.arimaErr))
-    val longErr = meanOf(longest.map(_.arimaErr))
+    val shortErr = mean(shortest.map(_.arimaErr))
+    val longErr = mean(longest.map(_.arimaErr))
     assert(longErr <= shortErr * 1.2,
       s"ARIMA with ${longest.head.trainDays}d ($longErr) should not lose to " +
         s"${shortest.head.trainDays}d ($shortErr)")

@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Exp4
+import repro.exp.Harness.mean
 
 /** Reproduces **Figures 10–15** (Exp-IV): aggregation/forecast errors and
   * interval widths for every sampler × sampling rate × selectivity, on
@@ -19,7 +20,7 @@ class Exp4ErrorVsRateBench extends SparkSpec {
     val maxRate = rates.last
 
     def agg(sampler: String, rate: Double): Double =
-      meanOf(rows.filter(r => r.sampler == sampler && r.paperRate == rate).map(_.aggErr))
+      mean(rows.filter(r => r.sampler == sampler && r.paperRate == rate).map(_.aggErr))
 
     // Fig 10 claim 1: Uniform is the worst sampler (range-dependent error).
     for (rate <- rates) {
@@ -51,21 +52,21 @@ class Exp4ErrorVsRateBench extends SparkSpec {
 
     // Claim 5: larger selectivity ⇒ smaller error (more qualifying rows).
     for (s <- rows.map(_.sampler).distinct) {
-      val lo = meanOf(rows.filter(r => r.sampler == s && r.selectivity == 0.005).map(_.aggErr))
-      val hi = meanOf(rows.filter(r => r.sampler == s && r.selectivity == 0.05).map(_.aggErr))
+      val lo = mean(rows.filter(r => r.sampler == s && r.selectivity == 0.005).map(_.aggErr))
+      val hi = mean(rows.filter(r => r.sampler == s && r.selectivity == 0.05).map(_.aggErr))
       assert(hi < lo, s"$s: selectivity 5% ($hi) should beat 0.5% ($lo)")
     }
 
     // Fig 13 claim: forecast intervals narrow as the rate grows (Opt-GSW).
-    val wSmall = meanOf(rows.filter(r => r.sampler == "Opt-GSW" && r.paperRate == minRate).map(_.width))
-    val wBig = meanOf(rows.filter(r => r.sampler == "Opt-GSW" && r.paperRate == maxRate).map(_.width))
+    val wSmall = mean(rows.filter(r => r.sampler == "Opt-GSW" && r.paperRate == minRate).map(_.width))
+    val wBig = mean(rows.filter(r => r.sampler == "Opt-GSW" && r.paperRate == maxRate).map(_.width))
     assert(wBig < wSmall, s"interval width should narrow with rate: $wBig vs $wSmall")
 
     // Figs 11/12/14/15 claim: forecast error tracks aggregation error —
     // the sampler with smaller agg error has no worse forecast error on
     // average (correlation across all rows is positive).
     val xs = rows.map(_.aggErr); val ys = rows.map(_.fcErr)
-    val mx = meanOf(xs); val my = meanOf(ys)
+    val mx = mean(xs); val my = mean(ys)
     val cov = xs.zip(ys).map { case (a, b) => (a - mx) * (b - my) }.sum
     assert(cov > 0, "forecast error should co-move with aggregation error")
 

@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Fig6
+import repro.exp.Harness.mean
 
 /** Reproduces **Figure 6** (§4.2): across the three ways to pair up the
   * four measures, L1 distance between a measure and its group's sampling
@@ -26,7 +27,7 @@ class Fig6GroupingBench extends SparkSpec {
 
     // Aggregation error co-moves with L1 (the figure's point): positive
     // covariance across the 12 (L1, error) pairs.
-    val mx = meanOf(rows.map(_.l1)); val my = meanOf(rows.map(_.aggErr))
+    val mx = mean(rows.map(_.l1)); val my = mean(rows.map(_.aggErr))
     val cov = rows.map(r => (r.l1 - mx) * (r.aggErr - my)).sum
     assert(cov > 0, "aggregation error should increase with L1 distance")
   }

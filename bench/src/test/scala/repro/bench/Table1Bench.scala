@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.exp.Harness.mean
 import repro.exp.Table1
 
 /** Reproduces **Table 1** (Exp-I): mean ARIMA forecast error per measure
@@ -23,10 +24,10 @@ class Table1Bench extends SparkSpec {
 
     // Claim 1 (Table 1's headline): the GSW family sits next to Full (the
     // best possible) while PIM's independence bias costs real accuracy.
-    val pimMean = meanOf(rows.map(_.pim))
-    val optMean = meanOf(rows.map(_.optGsw))
-    val cMean = meanOf(rows.map(_.cGsw))
-    val fullMean = meanOf(rows.map(_.full))
+    val pimMean = mean(rows.map(_.pim))
+    val optMean = mean(rows.map(_.optGsw))
+    val cMean = mean(rows.map(_.cGsw))
+    val fullMean = mean(rows.map(_.full))
     assert(optMean <= fullMean * 1.4 + 0.05,
       s"Opt-GSW mean $optMean should sit next to Full mean $fullMean")
     assert(cMean <= fullMean * 1.6 + 0.05,
@@ -42,7 +43,7 @@ class Table1Bench extends SparkSpec {
     val impRow = rows.find(_.measure == "impression").get
     assert(impRow.uniform > impRow.optGsw,
       s"Uniform ${impRow.uniform} should lose to Opt-GSW ${impRow.optGsw} on the heavy tail")
-    val uniMean = meanOf(rows.map(_.uniform))
+    val uniMean = mean(rows.map(_.uniform))
     assert(optMean <= uniMean * 1.1,
       s"Opt-GSW mean $optMean should not exceed Uniform mean $uniMean")
   }

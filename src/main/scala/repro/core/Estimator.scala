@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.data.AdSchema
 import repro.sampling.Sampler
 
 /** The online aggregation phase (§2.2, eq. 4) on Spark: turn a forecasting
@@ -11,41 +12,33 @@ import repro.sampling.Sampler
   * paper notes, equivalent to a single scan with GROUP BY t, which is
   * exactly how Catalyst executes the plan below.
   *
-  * It serves the full scan ([[FlashP.runOnFull]]) and the ground truth.
-  * Sample layers are served by their driver copies ([[SampleColumns]]);
-  * [[estimateSeries]] is the Spark reference those copies are tested
-  * against.
+  * It serves the full scan ([[FlashP.runOnFull]]) and the ground truth
+  * ([[repro.exp.SeriesCache]]). Sample layers are served by their driver
+  * copies ([[SampleColumns]]); [[estimateSeries]] is the Spark reference
+  * those copies are tested against.
   */
 object Estimator {
 
   /** Exact series from the full relation: `SUM(measure)` per day under the
     * task constraint; days with no qualifying rows contribute 0.
     */
-  def exactSeries(full: DataFrame, task: ForecastTask, timeCol: String = "t"): Array[Double] =
-    series(full, task, col(task.measure).cast("double"), timeCol)
+  def exactSeries(full: DataFrame, task: ForecastTask): Array[Double] =
+    series(full, task, col(task.measure).cast("double"))
 
   /** Estimated series from a sample produced by a [[repro.sampling.Sampler]]:
     * sums the calibrated `est_<m>` column, which is unbiased for the exact
     * constrained sum per day. The Spark reference for [[SampleColumns.series]];
     * the product serves samples from [[StoredSample.columns]].
     */
-  def estimateSeries(sample: DataFrame, task: ForecastTask, timeCol: String = "t"): Array[Double] =
-    series(sample, task, col(Sampler.estCol(task.measure)), timeCol)
-
-  /** The series for the FUTURE window `(te, te + forePeriod]` from the full
-    * relation — ground truth for forecast-error metrics.
-    */
-  def futureTruth(full: DataFrame, task: ForecastTask, timeCol: String = "t"): Array[Double] = {
-    val shifted = task.copy(ts = task.te + 1, te = task.te + task.forePeriod)
-    series(full, shifted, col(task.measure).cast("double"), timeCol)
-  }
+  def estimateSeries(sample: DataFrame, task: ForecastTask): Array[Double] =
+    series(sample, task, col(Sampler.estCol(task.measure)))
 
   private def series(df: DataFrame, task: ForecastTask,
-                     value: org.apache.spark.sql.Column, timeCol: String): Array[Double] = {
+                     value: org.apache.spark.sql.Column): Array[Double] = {
+    val t = col(AdSchema.TimeCol)
     val rows = df
-      .filter(task.constraint.column &&
-        col(timeCol) >= task.ts && col(timeCol) <= task.te)
-      .groupBy(col(timeCol))
+      .filter(task.constraint.column && t >= task.ts && t <= task.te)
+      .groupBy(t)
       .agg(sum(value) as "m")
       .collect()
     val byDay = rows.map(r => dayOf(r.get(0)) -> r.getDouble(1)).toMap

@@ -5,23 +5,23 @@ import org.apache.spark.storage.StorageLevel
 import repro.forecast.{ArimaForecaster, Forecast, Forecaster, LstmForecaster}
 import repro.sampling.Sampler
 
-/** A sample layer in the "OLAP engine".
+/** A sample layer in the "OLAP engine", copied to the driver when constructed.
   *
   * @param layer   layer name, e.g. "0.1%"
   * @param sampler the sampler that produced it
   * @param df      sample relation with `est_*` columns, persisted; its first
   *                Spark reader (maintenance, the DuckDB oracle) fills the cache
-  * @param rows    materialized sample row count (space cost)
-  * @param copy    the layer's driver copy, evaluated at most once, on first
-  *                use
   */
-final class StoredSample(val layer: String, val sampler: Sampler, val df: DataFrame,
-                         val rows: Long, copy: => SampleColumns) {
+final class StoredSample(val layer: String, val sampler: Sampler, val df: DataFrame) {
 
-  /** The layer copied to the driver as primitive columns, our stand-in for
-    * the paper's Hologres in-memory store; every query is answered from it.
+  /** The layer copied to the driver as primitive columns by one Spark job
+    * (shuffle-free over a cached `df`), our stand-in for the paper's Hologres
+    * in-memory store; every query is answered from it.
     */
-  lazy val columns: SampleColumns = copy
+  val columns: SampleColumns = SampleColumns.collect(df, sampler.measures)
+
+  /** Materialized sample row count (space cost). */
+  def rows: Long = columns.rows
 
   /** The task's per-day estimates, from the driver copy. */
   def series(task: ForecastTask): Array[Double] = columns.series(task)
@@ -29,12 +29,16 @@ final class StoredSample(val layer: String, val sampler: Sampler, val df: DataFr
 
 object StoredSample {
 
-  /** A layer whose driver copy is collected from `df` by one Spark job on
-    * its first query; over a cached `df` that job needs no shuffle. This is
-    * how a layer maintained with `IncrementalGSW.append` is served.
+  /** The layer `df`, as a layer maintained with `IncrementalGSW.append` is served.
+    *
+    * @throws IllegalArgumentException if its driver copy does not hold `rows` rows
     */
-  def apply(layer: String, sampler: Sampler, df: DataFrame, rows: Long): StoredSample =
-    new StoredSample(layer, sampler, df, rows, SampleColumns.collect(df, sampler.measures))
+  def apply(layer: String, sampler: Sampler, df: DataFrame, rows: Long): StoredSample = {
+    val stored = new StoredSample(layer, sampler, df)
+    require(stored.rows == rows,
+      s"layer '$layer': given $rows rows, but its driver copy holds ${stored.rows}")
+    stored
+  }
 }
 
 /** Multi-layer sample store (§3.2, §5): FlashP keeps samples of several
@@ -42,8 +46,7 @@ object StoredSample {
   * latency/accuracy requirement. Adding a layer runs the offline sampler and
   * copies the draw to the driver in one Spark job, which holds it once —
   * after that, online queries run no Spark job and never touch the base
-  * table. A layer built outside the store (`StoredSample(...)`) makes its
-  * copy on its first query instead.
+  * table.
   */
 final class SampleStore {
   private var layers: Vector[StoredSample] = Vector.empty
@@ -55,10 +58,8 @@ final class SampleStore {
     * (a cached relation, unchanged files, a seeded `SynthData.adTraffic`).
     */
   def add(layer: String, sampler: Sampler, full: DataFrame): StoredSample = {
-    val df = sampler.sample(full)
-    val columns = SampleColumns.collect(df, sampler.measures)
-    val stored = new StoredSample(layer, sampler, df.persist(StorageLevel.MEMORY_ONLY),
-      columns.rows, columns)
+    val stored = new StoredSample(layer, sampler, sampler.sample(full))
+    stored.df.persist(StorageLevel.MEMORY_ONLY)
     layers.indexWhere(_.layer == layer) match {
       case -1 => layers :+= stored
       case i =>

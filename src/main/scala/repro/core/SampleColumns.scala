@@ -21,9 +21,8 @@ import repro.sampling.Sampler
   * of `Byte`/`Short`/`Int` that holds its dictionary; each `est_<m>` of the
   * sampler's measures is one `Array[Double]`.
   *
-  * Every [[StoredSample]] is answered from one: [[SampleStore.add]] makes it
-  * in the one job that draws the layer, `StoredSample(...)` on the layer's
-  * first query.
+  * Every [[StoredSample]] is answered from one, made at its construction:
+  * [[SampleStore.add]] makes it in the one job that draws the layer.
   *
   * [[series]] answers a task without a Spark job. It equals
   * [[Estimator.estimateSeries]] over the layer's DataFrame up to the order in

@@ -77,4 +77,7 @@ object Harness {
   }
 
   def fmt(v: Double): String = f"$v%.3f"
+
+  /** The arithmetic mean of `xs`. */
+  def mean(xs: Seq[Double]): Double = xs.sum / xs.size
 }

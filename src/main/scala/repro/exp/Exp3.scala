@@ -44,7 +44,7 @@ object Exp3 {
           Harness.answer(store)(t.copy(model = model)).forecast.point, truth)
         (err("arima"), err("lstm"))
       }.unzip
-      Row(len, pr, ae.sum / ae.size, le.sum / le.size)
+      Row(len, pr, Harness.mean(ae), Harness.mean(le))
     } finally stores.foreach(_._2.clear())
 
     val rendered = Harness.renderTable(

@@ -31,7 +31,6 @@ object Exp4 {
     val paperRates = Seq(0.0002, 0.001, 0.005, 0.01)
     val selectivities = Seq(0.005, 0.05)
     val measures = Seq("favorite", "impression")
-    def mean(xs: Seq[Double]) = xs.sum / xs.size
 
     val rows = Seq.newBuilder[Row]
     for (paperRate <- paperRates) {
@@ -67,10 +66,10 @@ object Exp4 {
             lstmErr)
         }
         rows += Row(meas, sel, paperRate, name,
-          aggErr = mean(evals.map(_._1)),
-          fcErr = mean(evals.map(_._2)),
-          width = mean(evals.map(_._3)),
-          lstmErr = if (withLstm) mean(evals.map(_._4)) else Double.NaN)
+          aggErr = Harness.mean(evals.map(_._1)),
+          fcErr = Harness.mean(evals.map(_._2)),
+          width = Harness.mean(evals.map(_._3)),
+          lstmErr = if (withLstm) Harness.mean(evals.map(_._4)) else Double.NaN)
       } finally stores.foreach(_._2.clear())
     }
 

@@ -24,7 +24,6 @@ object Exp5 {
 
   def run(df: DataFrame, gen: TaskGen, cache: SeriesCache, cfg: BenchConfig): Result = {
     val te = cfg.trainDays - 1
-    def mean(xs: Seq[Double]) = xs.sum / xs.size
 
     // Tasks: selectivity 5%, one batch per measure.
     val tasksOf = AdSchema.Measures.map { m =>
@@ -35,9 +34,9 @@ object Exp5 {
     def answers(store: SampleStore, m: String): Seq[PipelineResult] =
       tasksOf(m).map(Harness.answer(store))
     def aggErr(rs: Seq[PipelineResult]): Double =
-      mean(rs.map(r => Metrics.relAggError(r.series, cache.exact(r.task))))
+      Harness.mean(rs.map(r => Metrics.relAggError(r.series, cache.exact(r.task))))
     def fcErr(rs: Seq[PipelineResult]): Double =
-      mean(rs.map(r => Metrics.relForecastError(r.forecast.point, cache.truth(r.task))))
+      Harness.mean(rs.map(r => Metrics.relForecastError(r.forecast.point, cache.truth(r.task))))
     def spaceRows(store: SampleStore): Long = store.all.map(_.rows).sum
 
     val rows = Seq(0.001, 0.005, 0.01).map { paperRate =>
@@ -46,7 +45,7 @@ object Exp5 {
         Seq(GSW.atRate(df, rate)(GSW.arithmetic(_, AdSchema.Measures))))
       val cAnswers = AdSchema.Measures.map(m => m -> answers(cGsw, m)).toMap
       val cErrs = cAnswers.view.mapValues(aggErr).toMap
-      val cFc = mean(AdSchema.Measures.map(m => fcErr(cAnswers(m))))
+      val cFc = Harness.mean(AdSchema.Measures.map(m => fcErr(cAnswers(m))))
 
       // Per measure: find the Opt-GSW rate matching the compressed error.
       val matched = AdSchema.Measures.map { m =>
@@ -78,7 +77,7 @@ object Exp5 {
         optTotalRows = optTotal,
         spaceRatio = optTotal.toDouble / spaceRows(cGsw),
         cGswFcErr = cFc,
-        optFcErr = mean(matched.map(_._3)))
+        optFcErr = Harness.mean(matched.map(_._3)))
       cGsw.clear()
       row
     }

@@ -24,7 +24,6 @@ object Fig6 {
   def run(df: DataFrame, gen: TaskGen, cache: SeriesCache, cfg: BenchConfig): Result = {
     val te = cfg.trainDays - 1
     val rate = cfg.scaledRate(0.001)
-    def mean(xs: Seq[Double]) = xs.sum / xs.size
 
     val rows = for {
       grouping <- Groupings
@@ -36,7 +35,7 @@ object Fig6 {
         try group.map { measure =>
           val tasks = gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
             measures = Seq(measure), forePeriod = cfg.horizon)
-          val err = mean(tasks.map(t =>
+          val err = Harness.mean(tasks.map(t =>
             Metrics.relAggError(Harness.answer(store)(t).series, cache.exact(t))))
           Row(label, measure, Grouping.l1ToWeight(df, measure, sampler.weight), err)
         } finally store.clear()

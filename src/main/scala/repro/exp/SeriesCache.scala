@@ -4,23 +4,26 @@ import org.apache.spark.sql.DataFrame
 import repro.core.{Estimator, ForecastTask}
 import scala.collection.concurrent.TrieMap
 
-/** Memoizes the expensive exact scans (ground-truth training series and
-  * future-truth windows) per task, so experiments that evaluate many
-  * methods on the same task only pay for the full-table scan once.
+/** Memoizes the exact full-table scans, so experiments that evaluate many
+  * methods on the same task pay for one: a series per `(measure, constraint,
+  * te + forePeriod)` over days `[0, te + forePeriod]`, sliced into training
+  * and future truth. Integer day sums are exact in doubles, so a slice
+  * equals a scan over its own window.
   */
 final class SeriesCache(df: DataFrame) {
-  private val exactC = TrieMap.empty[(String, String, Int, Int), Array[Double]]
-  private val truthC = TrieMap.empty[(String, String, Int, Int), Array[Double]]
+  private val series = TrieMap.empty[(String, String, Int), Array[Double]]
 
-  private def key(t: ForecastTask) = (t.measure, t.constraint.sql, t.ts, t.te)
+  private def upTo(task: ForecastTask): Array[Double] = {
+    require(task.ts >= 0, s"SeriesCache covers days from 0, not ${task.ts}")
+    val end = task.te + task.forePeriod
+    series.getOrElseUpdate((task.measure, task.constraint.sql, end),
+      Estimator.exactSeries(df, task.copy(ts = 0, te = end)))
+  }
 
-  /** Exact training series `M_ts..M_te` (full scan, cached). */
-  def exact(task: ForecastTask): Array[Double] =
-    exactC.getOrElseUpdate(key(task), Estimator.exactSeries(df, task))
+  /** Exact training series `M_ts..M_te`. */
+  def exact(task: ForecastTask): Array[Double] = upTo(task).slice(task.ts, task.te + 1)
 
-  /** Exact future series `(te, te+forePeriod]` (full scan, cached). */
+  /** Exact future series `(te, te+forePeriod]`. */
   def truth(task: ForecastTask): Array[Double] =
-    truthC.getOrElseUpdate(
-      (task.measure, task.constraint.sql, task.te, task.forePeriod),
-      Estimator.futureTruth(df, task))
+    upTo(task).slice(task.te + 1, task.te + 1 + task.forePeriod)
 }

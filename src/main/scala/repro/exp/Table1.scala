@@ -52,7 +52,7 @@ object Table1 {
     finally stores.foreach(_._2.clear())
 
     def mean(method: String, meas: String): Double =
-      errs.get((method, meas)).fold(Double.NaN)(xs => xs.sum / xs.size)
+      errs.get((method, meas)).fold(Double.NaN)(Harness.mean)
     val rows = AdSchema.Measures.map { meas =>
       Row(meas, full = mean("Full", meas), pim = mean("PIM", meas),
         uniform = mean("Uniform", meas), optGsw = mean("Opt-GSW", meas),

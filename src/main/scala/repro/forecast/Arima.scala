@@ -304,11 +304,10 @@ object Arima {
 }
 
 /** [[Forecaster]] adapter over [[Arima.autoFit]]. */
-final case class ArimaForecaster(maxP: Int = 7, maxQ: Int = 2, maxD: Int = 1)
-    extends Forecaster {
+final case class ArimaForecaster() extends Forecaster {
   override def fitForecast(series: Array[Double], horizon: Int, level: Double): Forecast = {
     Forecaster.requireHorizonAndLevel(horizon, level)
     Forecaster.requireFinite(series)
-    Arima.autoFit(series, maxP, maxQ, maxD).forecast(horizon, level)
+    Arima.autoFit(series).forecast(horizon, level)
   }
 }

@@ -66,8 +66,7 @@ final case class GSW(delta: Double, weight: Column, weightName: String,
     val drawn = df
       .withColumn(GSW.WeightCol, checked)
       .withColumn(GSW.DrawCol, rand(seed))
-      .filter(col(GSW.DrawCol) <= col(GSW.WeightCol) / (col(GSW.WeightCol) + delta))
-    GSW.withEstimates(drawn, delta, ms)
+    GSW.withEstimates(drawn.filter(GSW.included(delta)), delta, ms)
   }
 }
 
@@ -78,6 +77,12 @@ object GSW {
 
   /** Stored uniform draw `p_i` of each sampled row (for Δ→Δ′ maintenance). */
   val DrawCol = "gsw_p"
+
+  /** The inclusion rule at Δ, `p ≤ w/(w+Δ)` over [[DrawCol]] and [[WeightCol]]:
+    * [[GSW.sample]] draws and [[IncrementalGSW.raise]] thins with it alone.
+    */
+  private[sampling] def included(delta: Double): Column =
+    col(DrawCol) <= col(WeightCol) / (col(WeightCol) + delta)
 
   /** Add each measure's calibrated column `m·(Δ+w)/w` to a sample drawn (or
     * thinned) at threshold Δ, from the stored weight [[WeightCol]].
@@ -120,6 +125,9 @@ object GSW {
         "w=gmean", ms, seed)
   }
 
+  /** Fixed-point steps [[deltaForRate]] takes from its closed-form start. */
+  private val RefineSteps = 3
+
   /** Find Δ so the expected sample size `E|S_Δ| = Σ_i w_i/(Δ+w_i)` (eq. 13)
     * is ≈ `rate × |df|`, with one Spark job.
     *
@@ -131,7 +139,7 @@ object GSW {
     *
     * The rest runs on the driver, over the table. It starts from the
     * closed-form `Δ₀ = W/(rate·n)` (exact when `w ≪ Δ`) and refines with
-    * `refineSteps` multiplicative fixed-point steps `Δ ← Δ·E(Δ)/target`,
+    * [[RefineSteps]] multiplicative fixed-point steps `Δ ← Δ·E(Δ)/target`,
     * where `E(Δ) = Σ c_v·v/(Δ+v)`. Three steps land well within a few percent
     * of the target for our data. Every sum runs in ascending `v`, so Δ
     * depends only on the multiset of weights, not on how `df` is partitioned.
@@ -140,8 +148,7 @@ object GSW {
     *         weight is null, NaN, infinite or ≤ 0 (the message names
     *         `weight` and counts those rows)
     */
-  def deltaForRate(df: DataFrame, weight: Column, rate: Double,
-                   refineSteps: Int = 3): Double = {
+  def deltaForRate(df: DataFrame, weight: Column, rate: Double): Double = {
     require(rate > 0 && rate < 1, s"deltaForRate: rate=$rate out of (0,1)")
     val qe = df.select(weight.cast(DoubleType)).queryExecution
     val parts = SQLExecution.withNewExecutionId(qe, Some("GSW.deltaForRate")) {
@@ -156,7 +163,7 @@ object GSW {
     val target = rate * n
     var delta = table.total / target
     var step = 0
-    while (step < refineSteps) {
+    while (step < RefineSteps) {
       delta = delta * table.expectedSize(delta) / target
       step += 1
     }

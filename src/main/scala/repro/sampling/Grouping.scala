@@ -51,38 +51,38 @@ object Grouping {
 
   /** Pairwise L1 distances between normalized measure vectors
     * (Proposition 7's metric): `‖m'_p − m'_q‖₁` with
-    * `m'_i = m_i / Σ_j m_j`. One aggregation for the normalizers, one for
-    * all pairwise distances.
+    * `m'_i = m_i / Σ_j m_j`, from [[normalizedL1]].
     */
   def pairwiseL1(df: DataFrame, ms: Seq[String]): Map[(String, String), Double] = {
-    val totals = df.select(ms.map(m => sum(col(m).cast("double")) as m): _*).head
-    val totalOf = ms.zipWithIndex.map { case (m, i) => m -> totals.getDouble(i) }.toMap
     val pairs = for {
-      (p, i) <- ms.zipWithIndex
-      q <- ms.drop(i + 1)
-    } yield (p, q)
+      i <- ms.indices
+      j <- i + 1 until ms.size
+    } yield (i, j)
     if (pairs.isEmpty) return Map.empty
-    val aggs = pairs.map { case (p, q) =>
-      sum(abs(col(p).cast("double") / totalOf(p) - col(q).cast("double") / totalOf(q)))
-        .as(s"${p}__$q")
-    }
-    val row = df.select(aggs: _*).head
-    pairs.zipWithIndex.flatMap { case ((p, q), i) =>
-      val d = row.getDouble(i)
-      Seq((p, q) -> d, (q, p) -> d)
+    normalizedL1(df, ms.map(col), pairs).zip(pairs).flatMap { case (d, (i, j)) =>
+      Seq((ms(i), ms(j)) -> d, (ms(j), ms(i)) -> d)
     }.toMap
   }
 
   /** L1 distance between one measure and an arbitrary weight expression
-    * (both normalized to sum 1) — used to reproduce Figure 6(b).
+    * (both normalized to sum 1), from [[normalizedL1]] — used to reproduce
+    * Figure 6(b).
     */
-  def l1ToWeight(df: DataFrame, measure: String, weight: Column): Double = {
-    val totals = df.select(
-      sum(col(measure).cast("double")) as "m",
-      sum(weight.cast("double")) as "w").head
-    df.select(sum(abs(
-      col(measure).cast("double") / totals.getDouble(0) -
-        weight.cast("double") / totals.getDouble(1))) as "d").head.getDouble(0)
+  def l1ToWeight(df: DataFrame, measure: String, weight: Column): Double =
+    normalizedL1(df, Seq(col(measure), weight), Seq((0, 1))).head
+
+  /** Proposition 7's metric `‖v_i/Σv_i − v_j/Σv_j‖₁` for each pair `(i, j)`
+    * of `vectors`: one aggregation for the normalizers `Σv`, one for all
+    * the distances.
+    */
+  private def normalizedL1(df: DataFrame, vectors: Seq[Column],
+                           pairs: Seq[(Int, Int)]): Seq[Double] = {
+    val xs = vectors.map(_.cast("double"))
+    val totals = df.select(xs.map(x => sum(x)): _*).head
+    val normalized = xs.indices.map(i => xs(i) / totals.getDouble(i))
+    val row = df.select(pairs.map { case (i, j) => sum(abs(normalized(i) - normalized(j))) }: _*)
+      .head
+    pairs.indices.map(row.getDouble)
   }
 
   /** Greedy 2-approximation for k-center [28] over the measures, using a

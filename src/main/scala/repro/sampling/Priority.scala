@@ -3,14 +3,15 @@ package repro.sampling
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.data.AdSchema
 
 /** Priority sampling (Duffield–Lund–Thorup [22]) — the theoretically
   * optimal weighted baseline the paper compares GSW against.
   *
-  * Per time partition (samplers run independently per day, which is what
-  * gives the estimator its cross-day independence): each row draws
-  * `u_i ~ U(0,1]` and gets priority `q_i = m_i / u_i`. The sample is the
-  * `k` highest-priority rows; with `τ` the (k+1)-th priority, the
+  * Per day of [[AdSchema.TimeCol]] (samplers run independently per day,
+  * which is what gives the estimator its cross-day independence): each row
+  * draws `u_i ~ U(0,1]` and gets priority `q_i = m_i / u_i`. The sample is
+  * the `k` highest-priority rows; with `τ` the (k+1)-th priority, the
   * calibrated measure of a sampled row is `max(m_i, τ)`, which is unbiased
   * for subset sums and has `RSTD = sqrt(1/(k−1))` [38].
   *
@@ -18,14 +19,12 @@ import org.apache.spark.sql.functions._
   * multi-measure workloads need one priority sample per measure — the
   * space-cost disadvantage Exp-V quantifies.
   *
-  * @param k       sample size per time partition
+  * @param k       sample size per day
   * @param measure the measure the priorities are drawn from (and the only
   *                one this sample can estimate)
-  * @param timeCol time-partition column (a sample per distinct value)
   * @param seed    deterministic seed for the uniform draws
   */
-final case class Priority(k: Int, measure: String, timeCol: String = "t",
-                          seed: Long = 104723) extends Sampler {
+final case class Priority(k: Int, measure: String, seed: Long = 104723) extends Sampler {
   require(k >= 2, s"Priority: k=$k must be >= 2 for the estimator to exist")
 
   override def name: String = s"Priority($measure, k=$k)"
@@ -47,14 +46,14 @@ final case class Priority(k: Int, measure: String, timeCol: String = "t",
     val prioritized = df
       // rand() ∈ [0,1); clamp away from 0 so q = m/u is finite.
       .withColumn("pri_q", checked / greatest(rand(seed), lit(1e-12)))
-    val byPriority = Window.partitionBy(timeCol).orderBy(desc("pri_q"))
+    val byPriority = Window.partitionBy(AdSchema.TimeCol).orderBy(desc("pri_q"))
     val ranked = prioritized.withColumn("pri_rank", row_number().over(byPriority))
     // τ per day = the (k+1)-th priority; days with ≤ k rows keep everything
     // and are estimated exactly (τ treated as 0).
     val tau = ranked.filter(col("pri_rank") === k + 1)
-      .select(col(timeCol), col("pri_q") as "pri_tau")
+      .select(col(AdSchema.TimeCol), col("pri_q") as "pri_tau")
     ranked.filter(col("pri_rank") <= k)
-      .join(tau, Seq(timeCol), "left")
+      .join(tau, Seq(AdSchema.TimeCol), "left")
       .withColumn(Sampler.estCol(measure),
         greatest(m, coalesce(col("pri_tau"), lit(0.0))))
       .drop("pri_q", "pri_rank", "pri_tau")

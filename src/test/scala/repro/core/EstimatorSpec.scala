@@ -1,12 +1,14 @@
 package repro.core
 
+import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkFunSpec, TestData}
+import repro.exp.SeriesCache
 import repro.sampling.{GSW, Uniform}
 
 /** Tests for the online aggregation phase: exact per-day series
   * (oracle-checked against DuckDB), sample-based estimation, day-gap
-  * filling, and the future-truth window.
+  * filling, and the ground truth's one cached series per slice.
   */
 class EstimatorSpec extends SparkFunSpec {
 
@@ -92,12 +94,21 @@ class EstimatorSpec extends SparkFunSpec {
     }
   }
 
-  test("futureTruth covers (te, te+forePeriod]") {
-    val t2 = task.copy(ts = 0, te = 12, forePeriod = 7)
-    val future = Estimator.futureTruth(ad, t2)
-    assert(future.length == 7)
-    val direct = Estimator.exactSeries(ad, task.copy(ts = 13, te = 19))
-    assert(future.toSeq == direct.toSeq)
+  test("SeriesCache: exact and truth are slices of one exact series, from one scan") {
+    val cache = new SeriesCache(ad)
+    val t1 = task.copy(ts = 0, te = 12, forePeriod = 7)
+    val t2 = t1.copy(ts = 5)
+    // One scan is one aggregation; Spark runs its shuffle as a job of its own.
+    val (_, scanJobs) = JobCounter(spark.sparkContext)(
+      Estimator.exactSeries(ad, t1.copy(te = 19)))
+    val (slices, jobs) = JobCounter(spark.sparkContext)(
+      Seq(t1, t2).map(t => (cache.exact(t), cache.truth(t))))
+    assert(jobs == scanJobs, s"two tasks over one slice ran $jobs Spark jobs, one scan $scanJobs")
+    def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    Seq(t1, t2).zip(slices).foreach { case (t, (exact, truth)) =>
+      assert(bits(exact) == bits(Estimator.exactSeries(ad, t)))
+      assert(bits(truth) == bits(Estimator.exactSeries(ad, t.copy(ts = 13, te = 19))))
+    }
   }
 
   test("Metrics.relAggError on known vectors") {

@@ -200,7 +200,8 @@ class PipelineSpec extends SparkFunSpec {
   test("forecast is in the right ballpark of the true future (sanity)") {
     val task = mkTask()
     val res = FlashP.runOnFull(task, ad)
-    val truth = Estimator.futureTruth(ad, task)
+    val truth = Estimator.exactSeries(ad,
+      task.copy(ts = task.te + 1, te = task.te + task.forePeriod))
     val err = Metrics.relForecastError(res.forecast.point, truth)
     assert(err < 0.5, s"forecast error $err vs truth ${truth.toSeq}")
   }

@@ -86,7 +86,7 @@ class SampleColumnsSpec extends SparkFunSpec {
     val store = new SampleStore
     val layer = store.add("u", Uniform(0.2, ms, 4007), ad)
     // The same rows in one partition, and in 16 partitions of which at
-    // least 13 are empty; their copies are made on first use.
+    // least 13 are empty; their copies are made at construction.
     val repartitioned = Seq(layer.df.repartition(1), layer.df.repartition(16, col("t") % 3))
       .map(df => StoredSample("u", layer.sampler, df.cache(), layer.rows))
     assert(repartitioned.map(_.df.rdd.getNumPartitions) == Seq(1, 16))
@@ -148,12 +148,18 @@ class SampleColumnsSpec extends SparkFunSpec {
   test("a layer built without a driver copy makes it in one Spark job") {
     val sampler = Uniform(0.2, Seq("impression"), 4009)
     val df = sampler.sample(ad).cache()
-    val layer = StoredSample("direct", sampler, df, df.count())
+    val rows = df.count()
+    val sc = spark.sparkContext
+    val (layer, copyJobs) = JobCounter(sc)(StoredSample("direct", sampler, df, rows))
     val t = task("impression", Constraint(Seq(Pred("gender", "=", "F", true))))
-    val (first, firstJobs) = JobCounter(spark.sparkContext)(FlashP.runOnSample(t, layer).series)
-    val (second, secondJobs) = JobCounter(spark.sparkContext)(FlashP.runOnSample(t, layer).series)
-    assert(firstJobs == 1, s"the first query ran $firstJobs Spark jobs")
+    val (first, firstJobs) = JobCounter(sc)(FlashP.runOnSample(t, layer).series)
+    val (second, secondJobs) = JobCounter(sc)(FlashP.runOnSample(t, layer).series)
+    assert(copyJobs == 1, s"constructing the layer ran $copyJobs Spark jobs")
+    assert(firstJobs == 0, s"the first query ran $firstJobs Spark jobs")
     assert(secondJobs == 0, s"the second query ran $secondJobs Spark jobs")
+    val wrongRows = intercept[IllegalArgumentException](
+      StoredSample("direct", sampler, df, rows + 1))
+    assert(wrongRows.getMessage.contains(s"$rows"), wrongRows.getMessage)
     assert(second.sameElements(first))
     assertSameSeries(layer, t)
     df.unpersist()

@@ -1,5 +1,6 @@
 package repro.sampling
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkFunSpec, TestData}
 
@@ -21,6 +22,21 @@ class IncrementalGSWSpec extends SparkFunSpec {
     val rSum = raised.agg(sum(Sampler.estCol("impression"))).head.getDouble(0)
     val fSum = fresh.agg(sum(Sampler.estCol("impression"))).head.getDouble(0)
     assert(math.abs(rSum - fSum) < 1e-6 * math.abs(fSum))
+  }
+
+  test("raise(Δ→Δ′) keeps a fresh Δ′ draw's rows: same gsw_p, gsw_w, est_* bit for bit") {
+    val ms = Seq("impression", "click")
+    val atSmall = GSW.arithmetic(150, ms, seed = 58).sample(ad)
+    val raised = IncrementalGSW.raise(atSmall, 700, ms)
+    val fresh = GSW.arithmetic(700, ms, seed = 58).sample(ad)
+    def bits(df: DataFrame): Seq[Seq[Long]] =
+      df.select((Seq(GSW.DrawCol, GSW.WeightCol) ++ ms.map(Sampler.estCol)).map(col): _*)
+        .collect().toSeq
+        .map(r => (0 until r.length).map(i => java.lang.Double.doubleToRawLongBits(r.getDouble(i))))
+        .sortBy(_.head)
+    val kept = bits(raised)
+    assert(kept.nonEmpty && kept.size < atSmall.count())
+    assert(kept == bits(fresh))
   }
 
   test("raise never keeps a row the fresh Δ′ sample would reject") {
