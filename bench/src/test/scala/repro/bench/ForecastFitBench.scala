@@ -1,7 +1,7 @@
 package repro.bench
 
 import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Path, Paths}
+import java.nio.file.Files
 import java.util.concurrent.ForkJoinPool
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
@@ -56,14 +56,6 @@ class ForecastFitBench extends AnyFunSuite {
     (side(p.result()), side(r.result()))
   }
 
-  /** The directory holding `build.sbt` and `bench/`, whichever of the two
-    * the forked test JVM started in.
-    */
-  private def repoRoot: Path =
-    Iterator.iterate(Paths.get("").toAbsolutePath)(_.getParent).takeWhile(_ != null)
-      .find(d => Files.exists(d.resolve("build.sbt")) && Files.isDirectory(d.resolve("bench")))
-      .getOrElse(fail("no repository root above the working directory"))
-
   test("forecaster fits vs their references: writes BENCH_forecast.json") {
     val lstm = LstmForecaster()
     val ref = LstmReference(math.tanh)
@@ -95,7 +87,7 @@ class ForecastFitBench extends AnyFunSuite {
         s"""
            |    "product": "Arima.autoFit", "reference": "ArimaReference.autoFit",""".stripMargin),
       "}\n").mkString("\n")
-    val out = repoRoot.resolve("BENCH_forecast.json")
+    val out = BenchFixtures.repoRoot.resolve("BENCH_forecast.json")
     Files.write(out, body.getBytes(StandardCharsets.UTF_8))
     println(body)
 

@@ -17,9 +17,9 @@ import repro.sampling.Sampler
   *
   * Rows are grouped by day: the rows of day `firstDay + d` are
   * `[dayStart(d), dayStart(d + 1))`, so there is no time column. Each
-  * [[AdSchema]] dimension is dictionary-encoded, with codes in the narrowest
-  * of `Byte`/`Short`/`Int` that holds its dictionary; each `est_<m>` of the
-  * sampler's measures is one `Array[Double]`.
+  * [[AdSchema]] dimension is dictionary-encoded and held as a per-value row
+  * index ([[DimColumn]]); each `est_<m>` of the sampler's measures is one
+  * `Array[Double]`.
   *
   * Every [[StoredSample]] is answered from one, made at its construction:
   * [[SampleStore.add]] makes it in the one job that draws the layer.
@@ -38,7 +38,11 @@ final class SampleColumns private (val rows: Long, firstDay: Int, dayStart: Arra
   /** Per-day sums of `est_<m>` over days `[ts, te]` under the task's
     * constraint; days without qualifying rows, or outside the layer, are 0.
     * Each predicate becomes one boolean mask over its dimension's
-    * dictionary; then one loop visits the rows of the window's days only.
+    * dictionary, and then one bit array over the rows of the window's days,
+    * built from the index of the entries it accepts. The predicates' arrays
+    * are ANDed, and each day sums the values of its set bits in row order.
+    * A day's cost follows the window's 64-row words and the matched rows,
+    * not the rows of the window.
     *
     * @throws IllegalArgumentException if the task names a column the copy
     *         does not hold, or a comparison Spark would reject
@@ -47,26 +51,58 @@ final class SampleColumns private (val rows: Long, firstDay: Int, dayStart: Arra
     val values = est.getOrElse(Sampler.estCol(task.measure),
       throw notHeld(Sampler.estCol(task.measure)))
     val preds = task.constraint.preds.toArray
-    val codes = preds.map(p => dim(p.dim).codes)
-    val masks = preds.map(p => dim(p.dim).mask(p))
+    val cols = preds.map(p => dim(p.dim))
+    val masks = preds.indices.map(k => cols(k).mask(preds(k)))
     val out = new Array[Double](task.trainingDays)
-    val lastDay = firstDay + dayStart.length - 2
-    var d = math.max(task.ts, firstDay)
-    while (d <= math.min(task.te, lastDay)) {
-      var i = dayStart(d - firstDay)
-      val end = dayStart(d - firstDay + 1)
+    val first = math.max(task.ts, firstDay)
+    val last = math.min(task.te, firstDay + dayStart.length - 2)
+    if (first > last) return out
+
+    // Bit `i - 64 * w0` of `selected` is row i of the window [lo, hi).
+    val lo = dayStart(first - firstDay)
+    val hi = dayStart(last - firstDay + 1)
+    val w0 = lo >>> 6
+    val selected = new Array[Long](((hi + 63) >>> 6) - w0)
+    java.util.Arrays.fill(selected, -1L)
+    val words = new Array[Long](selected.length)
+    for (k <- preds.indices) {
+      java.util.Arrays.fill(words, 0L)
+      cols(k).select(masks(k), words, lo, hi)
+      var w = 0
+      while (w < words.length) { selected(w) &= words(w); w += 1 }
+    }
+
+    var d = first
+    while (d <= last) {
+      // Set bits of the day's rows [a, b), in ascending row order.
+      val a = dayStart(d - firstDay)
+      val b = dayStart(d - firstDay + 1)
+      val end = (b + 63) >>> 6
+      var w = a >>> 6
       var s = 0.0
-      while (i < end) {
-        var k = 0
-        while (k < masks.length && masks(k)(codes(k)(i))) k += 1
-        if (k == masks.length) s += values(i)
-        i += 1
+      while (w < end) {
+        var word = selected(w - w0)
+        if (w == a >>> 6) word &= -1L << a
+        if (w == end - 1 && (b & 63) != 0) word &= -1L >>> (64 - (b & 63))
+        while (word != 0) {
+          s += values((w << 6) + java.lang.Long.numberOfTrailingZeros(word))
+          word &= word - 1
+        }
+        w += 1
       }
       out(d - task.ts) = s
       d += 1
     }
     out
   }
+
+  /** Bytes of the copy's arrays: the dimensions' row indexes, the `est_<m>`
+    * columns and the day offsets. Dictionaries and object headers are not
+    * counted.
+    */
+  def bytes: Long =
+    4L * dayStart.length + est.valuesIterator.map(8L * _.length).sum +
+      dims.valuesIterator.map(_.bytes).sum
 
   private def dim(name: String): DimColumn = dims.getOrElse(name, throw notHeld(name))
 
@@ -81,8 +117,9 @@ object SampleColumns {
     * column, its [[AdSchema]] dimensions of integral or string type and the
     * `est_<m>` columns of `measures`. Each partition fills primitive arrays
     * with its own dictionaries (no `Row` per sample row); the driver
-    * concatenates them in partition order, merges the dictionaries and
-    * groups the rows by day; if `df` is persisted unfilled, the job fills it.
+    * concatenates them in partition order, merges the dictionaries, groups
+    * the rows by day and builds each dimension's row index; if `df` is
+    * persisted unfilled, the job fills it.
     */
   def collect(df: DataFrame, measures: Seq[String]): SampleColumns = {
     val time = AdSchema.TimeCol
@@ -146,8 +183,7 @@ object SampleColumns {
         var i = 0
         while (i < local.length) { codes(slot(j)) = global(local(i)); i += 1; j += 1 }
       }
-      dimNames(k) -> new DimColumn(dimNames(k), integral(k), dict.toArray,
-        Codes.narrowest(codes, dict.size))
+      dimNames(k) -> DimColumn(dimNames(k), integral(k), dict.toArray, codes)
     }.toMap
 
     val est = estNames.indices.map { k =>
@@ -222,11 +258,16 @@ object SampleColumns {
   }
 }
 
-/** One dictionary-encoded dimension: row `i` holds `dict(codes(i))`, which
-  * may be null.
+/** One dictionary-encoded dimension, held as a row index per dictionary
+  * entry: an entry that holds at least 1/[[DimColumn.DenseShare]] of the
+  * copy's rows keeps them as a bitmap (`bits(c)`, bit `i` for row `i`), a
+  * rarer one as its ascending row positions (`rows(c)`). Entry `c` has
+  * exactly one of the two, so a dimension costs at most 8 bytes a row,
+  * whatever its cardinality. An entry may be null, and null never matches.
   */
-private[core] final class DimColumn(name: String, integral: Boolean, dict: Array[Any],
-                                    val codes: Codes) {
+private[core] final class DimColumn private (name: String, integral: Boolean, dict: Array[Any],
+                                             bits: Array[Array[Long]],
+                                             rows: Array[Array[Int]]) {
   import DimColumn._
 
   /** Which dictionary entries satisfy `p`, with the semantics Catalyst gives
@@ -263,42 +304,82 @@ private[core] final class DimColumn(name: String, integral: Boolean, dict: Array
     dict.map(v => v != null && p.accepts(cmp(v)))
   }
 
+  /** Set the bit `i - 64 * (lo / 64)` of `words` for each row `i` in
+    * `[lo, hi)` whose entry `accepted` marks; `words` covers the 64-row words
+    * of `[lo, hi)` and comes in zeroed. Bits of rows outside `[lo, hi)` are
+    * left undefined. When more than half of the entries are accepted, the
+    * rejected ones are ORed and the result complemented.
+    */
+  def select(accepted: Array[Boolean], words: Array[Long], lo: Int, hi: Int): Unit = {
+    val complement = 2 * accepted.count(identity) > accepted.length
+    val w0 = lo >>> 6
+    var c = 0
+    while (c < accepted.length) {
+      if (accepted(c) != complement) {
+        val b = bits(c)
+        if (b != null) {
+          var w = 0
+          while (w < words.length) { words(w) |= b(w0 + w); w += 1 }
+        } else {
+          val r = rows(c)
+          val from = java.util.Arrays.binarySearch(r, lo)
+          var j = if (from >= 0) from else -from - 1
+          while (j < r.length && r(j) < hi) {
+            val i = r(j) - (w0 << 6)
+            words(i >>> 6) |= 1L << i
+            j += 1
+          }
+        }
+      }
+      c += 1
+    }
+    if (complement) {
+      var w = 0
+      while (w < words.length) { words(w) = ~words(w); w += 1 }
+    }
+  }
+
+  /** Bytes of the row index. */
+  def bytes: Long =
+    bits.iterator.filter(_ != null).map(8L * _.length).sum +
+      rows.iterator.filter(_ != null).map(4L * _.length).sum
+
   private def long(v: Any): Long = v.asInstanceOf[Number].longValue
 }
 
-private object DimColumn {
+private[core] object DimColumn {
+
+  /** An entry holding at least `1 / DenseShare` of the rows is a bitmap. */
+  val DenseShare = 64
+
   private val DecimalLit = """[+-]?(?:\d+\.?\d*|\.\d+)""".r
   private val DoubleLit = """[+-]?(?:\d+\.?\d*|\.\d+)[eE][+-]?\d+""".r
-}
 
-/** Dictionary codes of one column, unsigned, in the narrowest array that
-  * holds them.
-  */
-private[core] sealed abstract class Codes {
-  def apply(i: Int): Int
-}
-
-private[core] object Codes {
-  def narrowest(codes: Array[Int], dictSize: Int): Codes =
-    if (dictSize <= 256) {
-      val a = new Array[Byte](codes.length)
-      var i = 0
-      while (i < a.length) { a(i) = codes(i).toByte; i += 1 }
-      new ByteCodes(a)
-    } else if (dictSize <= 65536) {
-      val a = new Array[Short](codes.length)
-      var i = 0
-      while (i < a.length) { a(i) = codes(i).toShort; i += 1 }
-      new ShortCodes(a)
-    } else new IntCodes(codes)
-
-  private final class ByteCodes(a: Array[Byte]) extends Codes {
-    def apply(i: Int): Int = a(i) & 0xff
-  }
-  private final class ShortCodes(a: Array[Short]) extends Codes {
-    def apply(i: Int): Int = a(i) & 0xffff
-  }
-  private final class IntCodes(a: Array[Int]) extends Codes {
-    def apply(i: Int): Int = a(i)
+  /** The dimension whose row `i` holds `dict(codes(i))`. The index is built
+    * here rather than in a constructor body, whose loops the JIT may leave
+    * interpreted: it runs once per copy.
+    */
+  def apply(name: String, integral: Boolean, dict: Array[Any], codes: Array[Int]): DimColumn = {
+    val n = codes.length
+    val count = new Array[Int](dict.length)
+    var i = 0
+    while (i < n) { count(codes(i)) += 1; i += 1 }
+    val bits = new Array[Array[Long]](dict.length)
+    val rows = new Array[Array[Int]](dict.length)
+    var c = 0
+    while (c < dict.length) {
+      if (count(c).toLong * DenseShare >= n) bits(c) = new Array[Long]((n + 63) >>> 6)
+      else rows(c) = new Array[Int](count(c))
+      c += 1
+    }
+    val filled = new Array[Int](dict.length)
+    i = 0
+    while (i < n) {
+      val e = codes(i)
+      if (bits(e) != null) bits(e)(i >>> 6) |= 1L << i
+      else { rows(e)(filled(e)) = i; filled(e) += 1 }
+      i += 1
+    }
+    new DimColumn(name, integral, dict, bits, rows)
   }
 }

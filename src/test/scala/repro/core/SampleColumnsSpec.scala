@@ -114,6 +114,61 @@ class SampleColumnsSpec extends SparkFunSpec {
     store.clear()
   }
 
+  /** [[ad]] with half its rows in 5 common cities and half in ~5 000 rare
+    * ones, so that most of a layer's `city` entries are row lists.
+    */
+  private lazy val manyCities = ad.withColumn("city",
+    when(col("impression") % 2 === 0, col("city") % 5)
+      .otherwise(pmod(xxhash64(col("t"), col("age"), col("impression"), col("click")),
+        lit(5000L)) + 5))
+
+  test("driver engine equals the Spark estimator on the row index's edge cases") {
+    val store = new SampleStore
+    val cities = store.add("cities", Uniform(0.5, ms, 4013), manyCities)
+    val cityCount = cities.df.select("city").distinct().count()
+    assert(cityCount > 2000, s"$cityCount distinct cities")
+    // Under a day of rows per 64-row word, and under one word in all.
+    val thin = store.add("thin", Uniform(0.01, ms, 4014), ad)
+    val tiny = store.add("tiny", Uniform(0.001, ms, 4015), ad)
+    assert(thin.rows > 64 && thin.rows < 20 * 64, s"thin layer: ${thin.rows} rows")
+    assert(tiny.rows > 0 && tiny.rows < 64, s"tiny layer: ${tiny.rows} rows")
+    val cityCases = Seq(
+      Constraint(Seq(Pred("city", "=", "3", false))),
+      Constraint(Seq(Pred("city", "<=", "2500", false))),
+      Constraint(Seq(Pred("city", ">", "100", false), Pred("gender", "=", "F", true))),
+      Constraint(Seq(Pred("city", "<>", "2", false), Pred("device", "<>", "pc", true))),
+      Constraint(Seq(Pred("city", ">", "6000", false))))
+    for (c <- cityCases ++ pool.take(12); m <- Seq("click", "cart"))
+      assertSameSeries(cities, task(m, c))
+    val cases = Seq(
+      // More than half of the dictionary accepted: the complement path.
+      Constraint(Seq(Pred("age", ">=", "21", false))),
+      Constraint(Seq(Pred("age", ">", "20", false), Pred("tag_food", "<>", "7", false))),
+      // No entry accepted, alone and in a conjunction.
+      Constraint(Seq(Pred("city", "=", "100000", false))),
+      Constraint(Seq(Pred("gender", "=", "F", true), Pred("age", "<", "0", false))),
+      Constraint(Seq(Pred("device", "=", "mobile", true), Pred("age", "<=", "40", false))),
+      Constraint(Nil))
+    val windows = Seq((0, 19), (5, 12), (7, 7), (17, 23), (-2, 1))
+    for (l <- Seq(cities, thin, tiny, store.add("u", Uniform(0.05, ms, 4016), ad));
+         c <- cases; (ts, te) <- windows)
+      assertSameSeries(l, task("impression", c, ts, te))
+    store.clear()
+  }
+
+  test("a dimension's row index costs at most 8 bytes a row") {
+    for ((name, base) <- Seq("manyCities" -> manyCities, "ad" -> ad)) {
+      val layer = Uniform(0.5, Seq("impression"), 4017).sample(base).cache()
+      val rows = layer.count()
+      val all = SampleColumns.collect(layer, Seq("impression"))
+      for (d <- AdSchema.Dimensions) {
+        val index = all.bytes - SampleColumns.collect(layer.drop(d), Seq("impression")).bytes
+        assert(index > 0 && index <= 8 * rows, s"$name: '$d' costs $index bytes for $rows rows")
+      }
+      layer.unpersist()
+    }
+  }
+
   test("driver engine equals the Spark estimator with null dimension values") {
     val store = new SampleStore
     val layer = store.add("nulls", Uniform(0.2, Seq("impression"), 4008), TestData.adWithNulls)
