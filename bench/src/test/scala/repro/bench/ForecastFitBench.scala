@@ -1,20 +1,22 @@
 package repro.bench
 
-import java.nio.charset.StandardCharsets
-import java.nio.file.Files
 import java.util.concurrent.ForkJoinPool
+import org.json4s._
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bench.BenchFixtures.round
 import repro.TestData
 import repro.forecast.{Arima, ArimaReference, LstmForecaster, LstmReference}
 import scala.util.Random
 
 /** Times the two forecasters' fits against their slow test-only references
-  * and writes `BENCH_forecast.json` at the repository root:
-  * `LstmForecaster` vs `LstmReference(math.tanh)` and `Arima.autoFit` vs
+  * and records the run in the trajectory `BENCH_forecast.json` at the
+  * repository root through [[BenchFixtures.recordRun]], which keys a run by
+  * a digest of the product sources: `LstmForecaster` vs
+  * `LstmReference(math.tanh)` and `Arima.autoFit` vs
   * `ArimaReference.autoFit`. Each pair alternates in this JVM, on the same
-  * fixed 150-day series, after a warm-up; the file records each side's
-  * median and minimum milliseconds, the reference-over-product ratio of
-  * the medians, and the threads an LSTM fit runs on (the common pool's
+  * fixed 150-day series, after a warm-up; a run records each side's median
+  * and minimum milliseconds, the reference-over-product ratio of the
+  * medians, and the threads an LSTM fit runs on (the common pool's
   * parallelism plus the caller). Each product must beat its reference's
   * median. Run alone with `sbt "bench/testOnly *ForecastFitBench"`.
   */
@@ -64,31 +66,25 @@ class ForecastFitBench extends AnyFunSuite {
       lstm.fitForecast(_, Horizon, 0.9), lstmRef.fitForecast(_, Horizon, 0.9))
     val (ap, ar) = race(warmup = 20, reps = 50)(Arima.autoFit(_), ArimaReference.autoFit(_))
 
-    def json(name: String, p: Side, r: Side, extra: String): String =
-      f"""  "$name": {$extra
-         |    "product_ms": {"median": ${p.medianMs}%.3f, "min": ${p.minMs}%.3f},
-         |    "reference_ms": {"median": ${r.medianMs}%.3f, "min": ${r.minMs}%.3f},
-         |    "reference_over_product": ${r.medianMs / p.medianMs}%.3f,
-         |    "timed_fits_per_side": ${p.fits}%d
-         |  }""".stripMargin
-    val body = Seq(
-      s"""{
-         |  "suite": "ForecastFitBench",
-         |  "series": {"count": $Series, "length": $Days, "shape": "TestData.weeklySeasonal", "seed": $Seed},
-         |  "nproc": ${Runtime.getRuntime.availableProcessors},
-         |  "threads": ${ForkJoinPool.getCommonPoolParallelism + 1},
-         |  "java": "${System.getProperty("java.version")}",""".stripMargin,
-      json("lstm", lp, lr,
-        s"""
-           |    "product": "LstmForecaster()", "reference": "LstmReference(math.tanh)",
-           |    "epochs": ${lstm.epochs}, "hidden": ${lstm.hidden}, "window": ${lstm.window},
-           |    "horizon": $Horizon,""".stripMargin) + ",",
-      json("arima", ap, ar,
-        s"""
-           |    "product": "Arima.autoFit", "reference": "ArimaReference.autoFit",""".stripMargin),
-      "}\n").mkString("\n")
-    val out = BenchFixtures.repoRoot.resolve("BENCH_forecast.json")
-    Files.write(out, body.getBytes(StandardCharsets.UTF_8))
+    def side(s: Side) = JObject("median" -> round(s.medianMs, 3), "min" -> round(s.minMs, 3))
+    def pair(product: String, reference: String, p: Side, r: Side) = List(
+      "product" -> JString(product), "reference" -> JString(reference),
+      "product_ms" -> side(p), "reference_ms" -> side(r),
+      "reference_over_product" -> round(r.medianMs / p.medianMs, 3),
+      "timed_fits_per_side" -> JInt(p.fits))
+    val body = BenchFixtures.recordRun("BENCH_forecast.json",
+      List(
+        "suite" -> JString("ForecastFitBench"),
+        "series" -> JObject("count" -> JInt(Series), "length" -> JInt(Days),
+          "shape" -> JString("TestData.weeklySeasonal"), "seed" -> JLong(Seed))),
+      List(
+        "nproc" -> JInt(Runtime.getRuntime.availableProcessors),
+        "threads" -> JInt(ForkJoinPool.getCommonPoolParallelism + 1),
+        "java" -> JString(System.getProperty("java.version")),
+        "lstm" -> JObject(pair("LstmForecaster()", "LstmReference(math.tanh)", lp, lr) ++ List(
+          "epochs" -> JInt(lstm.epochs), "hidden" -> JInt(lstm.hidden),
+          "window" -> JInt(lstm.window), "horizon" -> JInt(Horizon))),
+        "arima" -> JObject(pair("Arima.autoFit", "ArimaReference.autoFit", ap, ar))))
     println(body)
 
     for (s <- Seq(lp, lr, ap, ar)) assert(s.minMs > 0 && s.minMs <= s.medianMs)

@@ -1,25 +1,19 @@
 package repro.bench
 
 import java.nio.ByteBuffer
-import java.nio.charset.StandardCharsets.UTF_8
-import java.nio.file.Files
-import java.security.MessageDigest
 import org.json4s._
-import org.json4s.jackson.JsonMethods.{parse, pretty, render}
 import repro.SparkSpec
 import repro.core.{ForecastTask, SampleStore}
+import repro.exp.BenchConfig
 import repro.sampling.GSW
-import scala.jdk.CollectionConverters._
 
 /** Times a sample layer's aggregation, `StoredSample.series`, over every
   * constraint of TaskGen's pool on Opt-GSW(impression) layers at 1 %, 5 %
   * and 50 % of the bench relation, and records the run in the trajectory
-  * `BENCH_series.json` at the repository root.
-  *
-  * A run is keyed by a digest of the product sources (`src/main/scala`): it
-  * replaces an earlier run of the same sources and keeps every other run.
-  * Per layer it records the rows, the bytes of the driver copy's arrays,
-  * the median and minimum µs per task over `Reps` timed passes after
+  * `BENCH_series.json` at the repository root through
+  * [[BenchFixtures.recordRun]], which keys a run by a digest of the product
+  * sources. Per layer it records the rows, the bytes of the driver copy's
+  * arrays, the median and minimum µs per task over `Reps` timed passes after
   * `Warmup` untimed ones, and a digest of the raw bits of every series, so
   * two runs with the same digest answered bit for bit alike. Run alone with
   * `sbt "bench/testOnly *SeriesBench"`.
@@ -30,26 +24,6 @@ class SeriesBench extends SparkSpec {
   private val Rates = Seq(0.01, 0.05, 0.5)
   private val Warmup = 3
   private val Reps = 5
-
-  private def digest(update: MessageDigest => Unit): String = {
-    val md = MessageDigest.getInstance("SHA-256")
-    update(md)
-    md.digest().take(6).map(b => f"$b%02x").mkString
-  }
-
-  /** Digest of the product sources, file by file in path order. */
-  private def sourceDigest: String = {
-    val root = repoRoot.resolve("src/main/scala")
-    val walk = Files.walk(root)
-    val files = try walk.iterator.asScala.filter(Files.isRegularFile(_)).toSeq finally walk.close()
-    digest(md => files.sortBy(root.relativize(_).toString).foreach { f =>
-      md.update(root.relativize(f).toString.getBytes(UTF_8))
-      md.update(Files.readAllBytes(f))
-    })
-  }
-
-  private def round(x: Double, places: Int): JDouble =
-    JDouble(BigDecimal(x).setScale(places, BigDecimal.RoundingMode.HALF_UP).toDouble)
 
   test("sample-layer aggregation over TaskGen's pool: writes BENCH_series.json") {
     val tasks = gen.pool.map(c => ForecastTask("impression", "ad", c, 0, cfg.trainDays - 1))
@@ -82,25 +56,18 @@ class SeriesBench extends SparkSpec {
     store.clear()
     assert(!sink.isNaN)
 
-    val run = JObject(
-      "source_digest" -> JString(sourceDigest),
-      "date" -> JString(java.time.LocalDate.now.toString),
-      "nproc" -> JInt(Runtime.getRuntime.availableProcessors),
-      "java" -> JString(System.getProperty("java.version")),
-      "layers" -> JArray(layers.toList))
-    val out = repoRoot.resolve("BENCH_series.json")
-    val earlier =
-      if (!Files.exists(out)) Nil
-      else (parse(new String(Files.readAllBytes(out), UTF_8)) \ "runs").children
-        .filter(r => r \ "source_digest" != run \ "source_digest")
-    val body = pretty(render(JObject(
-      "suite" -> JString("SeriesBench"),
-      "data" -> JObject("sf" -> JDouble(cfg.sf), "days" -> JInt(cfg.days),
-        "seed" -> JLong(cfg.seed)),
-      "tasks" -> JObject("constraints" -> JInt(tasks.size), "source" -> JString("TaskGen.pool"),
-        "measure" -> JString("impression"), "window" -> JArray(List(JInt(0), JInt(cfg.trainDays - 1)))),
-      "runs" -> JArray(earlier :+ run)))) + "\n"
-    Files.write(out, body.getBytes(UTF_8))
+    val body = recordRun("BENCH_series.json",
+      List(
+        "suite" -> JString("SeriesBench"),
+        "data" -> JObject("sf" -> JDouble(cfg.sf), "days" -> JInt(cfg.days),
+          "seed" -> JLong(BenchConfig.Seed)),
+        "tasks" -> JObject("constraints" -> JInt(tasks.size), "source" -> JString("TaskGen.pool"),
+          "measure" -> JString("impression"),
+          "window" -> JArray(List(JInt(0), JInt(cfg.trainDays - 1))))),
+      List(
+        "nproc" -> JInt(Runtime.getRuntime.availableProcessors),
+        "java" -> JString(System.getProperty("java.version")),
+        "layers" -> JArray(layers.toList)))
     println(body)
   }
 }

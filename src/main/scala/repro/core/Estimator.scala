@@ -1,16 +1,17 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.PartitionFold
 import repro.data.AdSchema
 import repro.sampling.Sampler
 
 /** The online aggregation phase (§2.2, eq. 4) on Spark: turn a forecasting
-  * task into the per-day series `M_ts .. M_te` with ONE Spark SQL
-  * aggregation — the `t_e − t_s + 1` point queries of eq. (4) are, as the
-  * paper notes, equivalent to a single scan with GROUP BY t, which is
-  * exactly how Catalyst executes the plan below.
+  * task into the per-day series `M_ts .. M_te` with ONE scan — the
+  * `t_e − t_s + 1` point queries of eq. (4) are, as the paper notes,
+  * equivalent to a single scan with GROUP BY t. Each partition sums its
+  * rows into a per-day array ([[repro.PartitionFold]]): one Spark job.
   *
   * It serves the full scan ([[FlashP.runOnFull]]) and the ground truth
   * ([[repro.exp.SeriesCache]]). Sample layers are served by their driver
@@ -23,7 +24,7 @@ object Estimator {
     * task constraint; days with no qualifying rows contribute 0.
     */
   def exactSeries(full: DataFrame, task: ForecastTask): Array[Double] =
-    series(full, task, col(task.measure).cast("double"))
+    series(full, task, col(task.measure))
 
   /** Estimated series from a sample produced by a [[repro.sampling.Sampler]]:
     * sums the calibrated `est_<m>` column, which is unbiased for the exact
@@ -33,31 +34,24 @@ object Estimator {
   def estimateSeries(sample: DataFrame, task: ForecastTask): Array[Double] =
     series(sample, task, col(Sampler.estCol(task.measure)))
 
-  private def series(df: DataFrame, task: ForecastTask,
-                     value: org.apache.spark.sql.Column): Array[Double] = {
-    val t = col(AdSchema.TimeCol)
-    val rows = df
-      .filter(task.constraint.column && t >= task.ts && t <= task.te)
-      .groupBy(t)
-      .agg(sum(value) as "m")
-      .collect()
-    val byDay = rows.map(r => dayOf(r.get(0)) -> r.getDouble(1)).toMap
-    Array.tabulate(task.te - task.ts + 1)(i => byDay.getOrElse(task.ts + i, 0.0))
+  /** Per-day sums; a null value adds nothing, as SUM skips it. */
+  private def series(df: DataFrame, task: ForecastTask, value: Column): Array[Double] = {
+    val (time, ts, days) = (AdSchema.TimeCol, task.ts, task.trainingDays)
+    require(isIntegral(df.schema(time).dataType),
+      s"time column '$time' must be integral, not ${df.schema(time).dataType.simpleString}")
+    val t = col(time)
+    val parts = PartitionFold(df.filter(task.constraint.column && t >= ts && t <= task.te)
+        .select(t.cast(LongType), value.cast(DoubleType)), "Estimator.series") { rows =>
+      val sums = new Array[Double](days)
+      rows.foreach(r => if (!r.isNullAt(1)) sums((r.getLong(0) - ts).toInt) += r.getDouble(1))
+      sums
+    }
+    Array.tabulate(days)(d => parts.foldLeft(0.0)(_ + _(d)))
   }
 
   private[core] def isIntegral(t: DataType): Boolean = t match {
     case ByteType | ShortType | IntegerType | LongType => true
     case _ => false
-  }
-
-  /** The day of a time-column value of any integral type. */
-  private def dayOf(t: Any): Int = t match {
-    case d: Int   => d
-    case d: Long  => Math.toIntExact(d)
-    case d: Short => d.toInt
-    case d: Byte  => d.toInt
-    case other    => throw new IllegalArgumentException(
-      s"time column value $other (${other.getClass.getSimpleName}) is not integral")
   }
 }
 

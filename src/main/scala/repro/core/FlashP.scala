@@ -103,7 +103,6 @@ final case class PipelineResult(task: ForecastTask, series: Array[Double],
                                 forecastNanos: Long) {
   def aggMillis: Double = aggNanos / 1e6
   def forecastMillis: Double = forecastNanos / 1e6
-  def totalMillis: Double = aggMillis + forecastMillis
 }
 
 /** End-to-end FlashP pipeline (§2.2, §5): estimate the training series from
@@ -121,25 +120,22 @@ object FlashP {
   }
 
   /** Process a task against a stored sample layer. */
-  def runOnSample(task: ForecastTask, sample: StoredSample,
-                  level: Double = 0.9): PipelineResult =
-    run(task, sample.series(task), level)
+  def runOnSample(task: ForecastTask, sample: StoredSample): PipelineResult =
+    run(task, sample.series(task))
 
   /** Process a task by scanning the full relation ("Full" in Table 1). */
-  def runOnFull(task: ForecastTask, full: DataFrame,
-                level: Double = 0.9): PipelineResult =
-    run(task, Estimator.exactSeries(full, task), level)
+  def runOnFull(task: ForecastTask, full: DataFrame): PipelineResult =
+    run(task, Estimator.exactSeries(full, task))
 
   /** Process a task with PIM estimates (baseline [8]). */
-  def runOnPim(task: ForecastTask, pim: PIM, level: Double = 0.9): PipelineResult =
-    run(task, pim.estimateSeries(task), level)
+  def runOnPim(task: ForecastTask, pim: PIM): PipelineResult =
+    run(task, pim.estimateSeries(task))
 
-  private def run(task: ForecastTask, seriesOf: => Array[Double],
-                  level: Double): PipelineResult = {
+  private def run(task: ForecastTask, seriesOf: => Array[Double]): PipelineResult = {
     val t0 = System.nanoTime()
     val series = seriesOf
     val t1 = System.nanoTime()
-    val forecast = forecasterFor(task.model).fitForecast(series, task.forePeriod, level)
+    val forecast = forecasterFor(task.model).fitForecast(series, task.forePeriod)
     val t2 = System.nanoTime()
     PipelineResult(task, series, forecast, aggNanos = t1 - t0, forecastNanos = t2 - t1)
   }

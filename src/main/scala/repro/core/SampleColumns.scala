@@ -3,11 +3,11 @@ package repro.core
 import java.nio.charset.StandardCharsets.UTF_8
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import repro.PartitionFold
 import repro.data.AdSchema
 import repro.sampling.Sampler
 
@@ -131,13 +131,11 @@ object SampleColumns {
     val integral = dimNames.map(d => Estimator.isIntegral(df.schema(d).dataType)).toArray
     val estNames = measures.map(Sampler.estCol)
     val nEst = estNames.size
-    val qe = df.select((col(time).cast(LongType) +: dimNames.zip(integral).map {
+    val projected = df.select((col(time).cast(LongType) +: dimNames.zip(integral).map {
       case (d, true) => col(d).cast(LongType)
       case (d, false) => col(d)
-    }) ++ estNames.map(e => col(e).cast(DoubleType)): _*).queryExecution
-    val parts = SQLExecution.withNewExecutionId(qe, Some("SampleColumns.collect")) {
-      qe.toRdd.mapPartitions(rows => Iterator(Part.fill(rows, integral, nEst))).collect()
-    }
+    }) ++ estNames.map(e => col(e).cast(DoubleType)): _*)
+    val parts = PartitionFold(projected, "SampleColumns.collect")(Part.fill(_, integral, nEst))
 
     // Group the rows by day with a counting sort; `slot(j)` is row j's
     // position in day order. Loops over rows are `while` loops, which the

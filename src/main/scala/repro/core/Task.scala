@@ -102,6 +102,9 @@ object TaskParser {
   /** An `AND` followed by an even number of quotes, so outside any literal. */
   private val And = """(?i)\s+AND\s+(?=[^']*(?:'[^']*'[^']*)*$)""".r
 
+  /** A comma outside any literal, as for [[And]]. */
+  private val Comma = """,(?=[^']*(?:'[^']*'[^']*)*$)""".r
+
   /** Parse one FORECAST statement.
     * @throws IllegalArgumentException on malformed input, with a hint.
     */
@@ -135,10 +138,20 @@ object TaskParser {
           s"cannot parse predicate '$other' — expected 'dim op literal'")
     }
 
+  /** @throws IllegalArgumentException naming the entry and the supported
+    *         keys, on an entry that is not `key = value`, an unknown or
+    *         repeated key, or a `FORE_PERIOD` that is not an integer
+    */
   private def parseOptions(opts: String): Map[String, String] =
-    opts.split(",").toSeq.map { kv =>
-      val parts = kv.split("=", 2)
-      require(parts.length == 2, s"cannot parse OPTION entry '$kv'")
-      parts(0).trim.toLowerCase -> parts(1).trim.stripPrefix("'").stripSuffix("'")
-    }.toMap
+    Comma.pattern.split(opts, -1).foldLeft(Map.empty[String, String]) { (seen, kv) =>
+      def reject(why: String) = throw new IllegalArgumentException(
+        s"OPTION entry '${kv.trim}': $why; supported keys: model, fore_period")
+      val parts = kv.split("=", 2).map(_.trim)
+      if (parts.length != 2) reject("expected key = value")
+      val (key, value) = (parts(0).toLowerCase, parts(1).stripPrefix("'").stripSuffix("'"))
+      if (key != "model" && key != "fore_period") reject("unknown key")
+      if (seen.contains(key)) reject("key given twice")
+      if (key == "fore_period" && value.toIntOption.isEmpty) reject("not an integer")
+      seen + (key -> value)
+    }
 }

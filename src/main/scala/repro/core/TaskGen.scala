@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.PartitionFold
 import repro.data.AdSchema
 import scala.util.Random
 
@@ -12,13 +12,14 @@ import scala.util.Random
   *
   * We enumerate a pool of random conjunctive constraints over the ad-schema
   * dimensions, measure the row selectivity of the WHOLE pool in a single
-  * Spark pass (one conditional-count aggregate per candidate), and then
-  * serve constraints whose selectivity lands in a band around the requested
-  * target. Deterministic in the seed.
+  * Spark job (one match count per candidate), and then serve constraints
+  * whose selectivity lands in a band around the requested target.
+  * Deterministic in the seed.
   */
 final class TaskGen(full: DataFrame, seed: Long = 101, poolSize: Int = 240) {
 
   private val rng = new Random(seed)
+  private val Slack = 2.0
 
   /** The candidate pool: 2–3 predicates over distinct dimensions — the
     * paper's tasks slice on *combinations* of attributes (e.g. Age AND
@@ -53,35 +54,41 @@ final class TaskGen(full: DataFrame, seed: Long = 101, poolSize: Int = 240) {
     }.distinct
   }
 
-  /** Row selectivity of every pool constraint, one Spark pass. */
+  /** Row selectivity of every pool constraint, in one Spark job that
+    * counts each partition's matches per constraint and, last, its rows.
+    */
   val selectivity: Map[Constraint, Double] = {
-    val n = full.count().toDouble
-    val aggs = pool.zipWithIndex.map { case (c, i) =>
-      sum(when(c.column, 1L).otherwise(0L)) as s"c$i"
-    }
-    val row = full.select(aggs: _*).head
-    pool.zipWithIndex.map { case (c, i) => c -> row.getLong(i) / n }.toMap
+    val n = pool.size
+    val counts = PartitionFold(full.select(pool.map(_.column): _*), "TaskGen.selectivity") { rows =>
+      val counts = new Array[Long](n + 1)
+      rows.foreach { r =>
+        var i = 0
+        while (i < n) { if (!r.isNullAt(i) && r.getBoolean(i)) counts(i) += 1; i += 1 }
+        counts(n) += 1
+      }
+      counts
+    }.transpose.map(_.sum)
+    pool.indices.map(i => pool(i) -> counts(i) / counts(n).toDouble).toMap
   }
 
   /** Constraints whose selectivity is within [lo, hi] (fractions of rows). */
   def withSelectivity(lo: Double, hi: Double): Seq[Constraint] =
     pool.filter(c => selectivity(c) >= lo && selectivity(c) <= hi)
 
-  /** `count` tasks near `target` selectivity (within ×/÷ `slack`), cycling
+  /** `count` ARIMA tasks near `target` selectivity (within ×/÷ 2), cycling
     * through qualifying constraints and round-robining measures.
     *
     * @throws IllegalStateException if no pool constraint qualifies.
     */
   def tasks(target: Double, count: Int, ts: Int, te: Int,
-            measures: Seq[String] = AdSchema.Measures, model: String = "arima",
-            forePeriod: Int = 7, slack: Double = 2.0): Seq[ForecastTask] = {
-    val qualifying = withSelectivity(target / slack, target * slack)
+            measures: Seq[String] = AdSchema.Measures, forePeriod: Int = 7): Seq[ForecastTask] = {
+    val qualifying = withSelectivity(target / Slack, target * Slack)
     if (qualifying.isEmpty)
       throw new IllegalStateException(
-        f"no candidate constraint with selectivity ≈ $target%.4f (slack ×$slack)")
+        f"no candidate constraint with selectivity ≈ $target%.4f (slack ×$Slack)")
     (0 until count).map { i =>
       ForecastTask(measures(i % measures.size), "ad", qualifying(i % qualifying.size),
-        ts, te, model, forePeriod)
+        ts, te, forePeriod = forePeriod)
     }
   }
 }

@@ -19,13 +19,11 @@ import repro.sampling.Sampler
 final case class BenchConfig(
     sf: Double = sys.env.get("BENCH_SF").map(_.toDouble).getOrElse(0.002),
     trainDays: Int = sys.env.get("BENCH_TRAIN_DAYS").map(_.toInt).getOrElse(150),
-    horizon: Int = 7,
     tasksPerPoint: Int = sys.env.get("BENCH_TASKS").map(_.toInt).getOrElse(4),
-    rateScale: Double = sys.env.get("BENCH_RATE_SCALE").map(_.toDouble).getOrElse(50.0),
-    seed: Long = 7) {
+    rateScale: Double = sys.env.get("BENCH_RATE_SCALE").map(_.toDouble).getOrElse(50.0)) {
 
   /** Generated days: training window + forecast horizon + slack. */
-  def days: Int = trainDays + horizon + 1
+  def days: Int = trainDays + BenchConfig.Horizon + 1
 
   /** Translate a paper sampling rate into our scaled rate — used by the
     * rate SWEEPS (Exp-IV style), where what matters is a spread of sample
@@ -41,11 +39,16 @@ final case class BenchConfig(
   def equivRate(paperRate: Double): Double = math.min(0.5, paperRate / sf)
 }
 
+object BenchConfig {
+  val Horizon = 7 // days every experiment forecasts
+  val Seed = 7L // of the generated bench relation
+}
+
 object Harness {
 
   /** Generate + cache the bench relation. */
   def data(spark: SparkSession, cfg: BenchConfig): DataFrame = {
-    val df = SynthData.adTraffic(spark, cfg.sf, cfg.days, cfg.seed)
+    val df = SynthData.adTraffic(spark, cfg.sf, cfg.days, BenchConfig.Seed)
       .persist(StorageLevel.MEMORY_ONLY)
     df.count()
     df

@@ -22,7 +22,7 @@ object Exp3 {
   def run(df: DataFrame, gen: TaskGen, cache: SeriesCache, cfg: BenchConfig): Result = {
     val te = cfg.trainDays - 1
     val baseTasks = gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
-      measures = Seq("impression"), forePeriod = cfg.horizon)
+      measures = Seq("impression"), forePeriod = BenchConfig.Horizon)
     val paperRates = Seq(0.001, 0.01)
     val trainLens = Seq(30, 60, 90, 120, cfg.trainDays).filter(_ <= cfg.trainDays).distinct
 

@@ -49,7 +49,7 @@ object Exp4 {
         (name, store) <- stores
       } {
         val tasks = gen.tasks(sel, cfg.tasksPerPoint, ts = 0, te = te,
-          measures = Seq(meas), forePeriod = cfg.horizon)
+          measures = Seq(meas), forePeriod = BenchConfig.Horizon)
         // LSTM only on the subset the paper plots in detail (Fig 12), to
         // keep bench runtime bounded.
         val withLstm = meas == "favorite" && sel == 0.05

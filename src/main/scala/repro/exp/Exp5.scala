@@ -28,7 +28,7 @@ object Exp5 {
     // Tasks: selectivity 5%, one batch per measure.
     val tasksOf = AdSchema.Measures.map { m =>
       m -> gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
-        measures = Seq(m), forePeriod = cfg.horizon)
+        measures = Seq(m), forePeriod = BenchConfig.Horizon)
     }.toMap
 
     def answers(store: SampleStore, m: String): Seq[PipelineResult] =

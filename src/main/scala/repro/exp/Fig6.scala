@@ -34,7 +34,7 @@ object Fig6 {
         val store = Harness.store(df, Seq(sampler))
         try group.map { measure =>
           val tasks = gen.tasks(0.05, cfg.tasksPerPoint, ts = 0, te = te,
-            measures = Seq(measure), forePeriod = cfg.horizon)
+            measures = Seq(measure), forePeriod = BenchConfig.Horizon)
           val err = Harness.mean(tasks.map(t =>
             Metrics.relAggError(Harness.answer(store)(t).series, cache.exact(t))))
           Row(label, measure, Grouping.l1ToWeight(df, measure, sampler.weight), err)

@@ -27,7 +27,7 @@ object Table1 {
     // every measure gets tasks even at small BENCH_TASKS.
     val tasks: Seq[ForecastTask] =
       Seq(0.005, 0.02, 0.05, 0.10).flatMap { sel =>
-        gen.tasks(sel, cfg.tasksPerPoint, ts = 0, te = te, forePeriod = cfg.horizon)
+        gen.tasks(sel, cfg.tasksPerPoint, ts = 0, te = te, forePeriod = BenchConfig.Horizon)
       }.zipWithIndex.map { case (t, i) =>
         t.copy(measure = AdSchema.Measures(i % AdSchema.Measures.size))
       }

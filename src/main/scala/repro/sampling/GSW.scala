@@ -2,9 +2,9 @@ package repro.sampling
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
+import repro.PartitionFold
 import scala.collection.mutable.ArrayBuilder
 
 /** GSW (Generalized Smoothed Weighted) sampling — the paper's core
@@ -150,11 +150,8 @@ object GSW {
     */
   def deltaForRate(df: DataFrame, weight: Column, rate: Double): Double = {
     require(rate > 0 && rate < 1, s"deltaForRate: rate=$rate out of (0,1)")
-    val qe = df.select(weight.cast(DoubleType)).queryExecution
-    val parts = SQLExecution.withNewExecutionId(qe, Some("GSW.deltaForRate")) {
-      qe.toRdd.mapPartitions(rows => Iterator(WeightTable.of(rows))).collect()
-    }
-    val table = WeightTable.merged(parts)
+    val table = WeightTable.merged(
+      PartitionFold(df.select(weight.cast(DoubleType)), "GSW.deltaForRate")(WeightTable.of))
     require(table.invalid == 0, s"deltaForRate: the weight ${df.select(weight).columns.head} " +
       s"is null, NaN, infinite or <= 0 in ${table.invalid} row(s); every weight must be " +
       "positive and finite")

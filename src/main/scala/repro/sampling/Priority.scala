@@ -43,19 +43,16 @@ final case class Priority(k: Int, measure: String, seed: Long = 104723) extends 
     // cost every query that samples a few tens of ms of code generation.
     val checked = when(m.isNull || m.isNaN || m < 0, raise_error(
       lit(s"$name: a measure is null, NaN or negative; it must be >= 0"))).otherwise(m)
-    val prioritized = df
-      // rand() ∈ [0,1); clamp away from 0 so q = m/u is finite.
-      .withColumn("pri_q", checked / greatest(rand(seed), lit(1e-12)))
+    // rand() ∈ [0,1); clamp away from 0 so q = m/u is finite.
+    val prioritized = df.withColumn("pri_q", checked / greatest(rand(seed), lit(1e-12)))
     val byPriority = Window.partitionBy(AdSchema.TimeCol).orderBy(desc("pri_q"))
-    val ranked = prioritized.withColumn("pri_rank", row_number().over(byPriority))
-    // τ per day = the (k+1)-th priority; days with ≤ k rows keep everything
-    // and are estimated exactly (τ treated as 0).
-    val tau = ranked.filter(col("pri_rank") === k + 1)
-      .select(col(AdSchema.TimeCol), col("pri_q") as "pri_tau")
-    ranked.filter(col("pri_rank") <= k)
-      .join(tau, Seq(AdSchema.TimeCol), "left")
-      .withColumn(Sampler.estCol(measure),
-        greatest(m, coalesce(col("pri_tau"), lit(0.0))))
-      .drop("pri_q", "pri_rank", "pri_tau")
+    // τ per day = the (k+1)-th priority over the whole day; days with ≤ k
+    // rows keep everything and are estimated exactly (τ treated as 0).
+    val tau = nth_value(col("pri_q"), k + 1)
+      .over(byPriority.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing))
+    prioritized.withColumn("pri_rank", row_number().over(byPriority))
+      .withColumn(Sampler.estCol(measure), greatest(m, coalesce(tau, lit(0.0))))
+      .filter(col("pri_rank") <= k)
+      .drop("pri_q", "pri_rank")
   }
 }

@@ -62,6 +62,42 @@ class EstimatorSpec extends SparkFunSpec {
     assert(err < 0.25, s"mean relative aggregation error $err")
   }
 
+  test("exactSeries is bit-identical to a groupBy over TaskGen's pool") {
+    val pool = new TaskGen(ad, seed = 4006, poolSize = 40).pool
+    val measures = repro.data.AdSchema.Measures
+    val tasks = pool.indices.map(i =>
+      ForecastTask(measures(i % measures.size), "ad", pool(i), ts = 0, te = 19))
+    val sums = tasks.zipWithIndex.map { case (t, i) =>
+      sum(when(t.constraint.column, col(t.measure).cast("double"))) as s"s$i"
+    }
+    val byDay = ad.groupBy(col("t")).agg(sums.head, sums.tail: _*).collect()
+      .map(r => r.getInt(0) -> r).toMap
+    def bits(xs: Seq[Double]) = xs.map(java.lang.Double.doubleToRawLongBits)
+    tasks.zipWithIndex.foreach { case (t, i) =>
+      val reference = (0 to 19).map(d => byDay.get(d).filterNot(_.isNullAt(i + 1))
+        .fold(0.0)(_.getDouble(i + 1)))
+      assert(bits(Estimator.exactSeries(ad, t).toSeq) == bits(reference), t.sql)
+    }
+  }
+
+  test("estimateSeries over a cached sample runs one Spark job") {
+    val sample = Uniform(0.5, Seq("impression"), seed = 2003).sample(ad).cache()
+    try {
+      sample.count()
+      val (_, jobs) = JobCounter(spark.sparkContext)(Estimator.estimateSeries(sample, task))
+      assert(jobs == 1, s"estimateSeries ran $jobs Spark jobs")
+    } finally sample.unpersist()
+  }
+
+  test("a day whose every measure is null sums to 0, as SUM skips nulls") {
+    val day = 4
+    val nulled = ad.withColumn("impression", when(col("t") =!= day, col("impression")))
+    val series = Estimator.exactSeries(nulled, task)
+    val exact = Estimator.exactSeries(ad, task)
+    assert(exact(day) > 0 && series(day) == 0.0)
+    assert(series.indices.filter(_ != day).forall(d => series(d) == exact(d)))
+  }
+
   test("days with no qualifying rows yield 0") {
     val impossible = task.copy(constraint =
       Constraint(Seq(Pred("age", ">", "200", isString = false))))
@@ -98,9 +134,10 @@ class EstimatorSpec extends SparkFunSpec {
     val cache = new SeriesCache(ad)
     val t1 = task.copy(ts = 0, te = 12, forePeriod = 7)
     val t2 = t1.copy(ts = 5)
-    // One scan is one aggregation; Spark runs its shuffle as a job of its own.
+    // One scan is one Spark job: each partition folds its rows into day sums.
     val (_, scanJobs) = JobCounter(spark.sparkContext)(
       Estimator.exactSeries(ad, t1.copy(te = 19)))
+    assert(scanJobs == 1, s"one scan ran $scanJobs Spark jobs")
     val (slices, jobs) = JobCounter(spark.sparkContext)(
       Seq(t1, t2).map(t => (cache.exact(t), cache.truth(t))))
     assert(jobs == scanJobs, s"two tasks over one slice ran $jobs Spark jobs, one scan $scanJobs")

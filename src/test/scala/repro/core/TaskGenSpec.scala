@@ -1,9 +1,10 @@
 package repro.core
 
+import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions._
 import repro.{SparkFunSpec, TestData}
 
-/** Tests for the workload generator: pool construction, single-pass
+/** Tests for the workload generator: pool construction, one-job
   * selectivity measurement, and fixed-selectivity task picking.
   */
 class TaskGenSpec extends SparkFunSpec {
@@ -33,6 +34,18 @@ class TaskGenSpec extends SparkFunSpec {
     }
   }
 
+  test("selectivity equals one conditional-count aggregate per constraint, in one job") {
+    val (fresh, jobs) = JobCounter(spark.sparkContext)(new TaskGen(ad))
+    assert(jobs == 1, s"new TaskGen ran $jobs Spark jobs")
+    val n = ad.count().toDouble
+    val aggs = fresh.pool.zipWithIndex.map { case (c, i) =>
+      sum(when(c.column, 1L).otherwise(0L)) as s"c$i"
+    }
+    val row = ad.select(aggs: _*).head
+    val reference = fresh.pool.zipWithIndex.map { case (c, i) => c -> row.getLong(i) / n }.toMap
+    assert(fresh.selectivity == reference)
+  }
+
   test("withSelectivity respects the band") {
     val band = gen.withSelectivity(0.01, 0.10)
     assert(band.forall(c => gen.selectivity(c) >= 0.01 && gen.selectivity(c) <= 0.10))
@@ -47,15 +60,15 @@ class TaskGenSpec extends SparkFunSpec {
       repro.data.AdSchema.Measures.sorted)
   }
 
-  test("tasks carry the requested window and model") {
-    val tasks = gen.tasks(0.05, 2, ts = 3, te = 17, model = "lstm", forePeriod = 5)
-    assert(tasks.forall(t => t.ts == 3 && t.te == 17 && t.model == "lstm" &&
+  test("tasks carry the requested window and period, and model ARIMA") {
+    val tasks = gen.tasks(0.05, 2, ts = 3, te = 17, forePeriod = 5)
+    assert(tasks.forall(t => t.ts == 3 && t.te == 17 && t.model == "arima" &&
       t.forePeriod == 5))
   }
 
   test("unreachable selectivity target throws") {
     intercept[IllegalStateException] {
-      gen.tasks(target = 1e-9, count = 1, ts = 0, te = 5, slack = 1.01)
+      gen.tasks(target = 1e-9, count = 1, ts = 0, te = 5)
     }
   }
 

@@ -24,6 +24,27 @@ class TaskParserSpec extends AnyFunSuite {
     assert(t.model == "lstm" && t.forePeriod == 14)
   }
 
+  test("a malformed OPTION entry is rejected, naming it and the supported keys") {
+    for ((opts, entry) <- Seq(
+           "MODEL = 'arima', FOREPERIOD = 3" -> "FOREPERIOD = 3", // unknown key
+           "FORE_PERIOD = 3, fore_period = 5" -> "fore_period = 5", // repeated key
+           "MODEL = 'arima', FORE_PERIOD = x" -> "FORE_PERIOD = x", // not an integer
+           "FORE_PERIOD = 2.5" -> "FORE_PERIOD = 2.5",
+           "MODEL = 'arima', FORE_PERIOD" -> "FORE_PERIOD", // no value
+           "MODEL = 'arima'," -> "")) { // empty entry
+      val msg = intercept[IllegalArgumentException] {
+        TaskParser.parse(s"FORECAST SUM(click) FROM ad USING (0, 149) OPTION ($opts)")
+      }.getMessage
+      assert(msg.contains(s"OPTION entry '$entry'") && msg.contains("model, fore_period"), msg)
+    }
+  }
+
+  test("OPTION entries split on commas outside quotes") {
+    val t = TaskParser.parse(
+      "FORECAST SUM(click) FROM ad USING (0, 149) OPTION (MODEL = 'a,b', FORE_PERIOD = 3)")
+    assert(t.model == "a,b" && t.forePeriod == 3)
+  }
+
   test("WHERE clause is optional") {
     val t = TaskParser.parse("FORECAST SUM(cart) FROM ad USING (0, 99)")
     assert(t.constraint.preds.isEmpty)

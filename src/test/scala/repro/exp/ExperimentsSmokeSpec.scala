@@ -11,8 +11,7 @@ import repro.core.TaskGen
 class ExperimentsSmokeSpec extends SparkSpec {
 
   // Every field explicit, so the BENCH_* variables do not apply.
-  private val cfg = BenchConfig(sf = 1e-5, trainDays = 30, horizon = 7,
-    tasksPerPoint = 1, rateScale = 50.0, seed = 7)
+  private val cfg = BenchConfig(sf = 1e-5, trainDays = 30, tasksPerPoint = 1, rateScale = 50.0)
   private lazy val df = Harness.data(spark, cfg)
   private lazy val gen = new TaskGen(df)
   private lazy val cache = new SeriesCache(df)

@@ -1,5 +1,6 @@
 package repro.sampling
 
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.{LocalSampling, SparkFunSpec, TestData}
 import scala.util.Random
@@ -30,6 +31,28 @@ class PrioritySpec extends SparkFunSpec {
   test("estimator is max(m, τ): every estimate ≥ the raw measure") {
     val s = Priority(40, "impression").sample(ad)
     assert(s.filter(col(Sampler.estCol("impression")) < col("impression")).count() == 0)
+  }
+
+  test("τ from the ranking window equals the self-joined (k+1)-th priority") {
+    // The earlier form: rank, then join each day's (k+1)-th priority back.
+    def selfJoined(p: Priority) = {
+      val ranked = ad.withColumn("pri_q", col(p.measure).cast("double") /
+          greatest(rand(p.seed), lit(1e-12)))
+        .withColumn("pri_rank", row_number().over(
+          Window.partitionBy("t").orderBy(desc("pri_q"))))
+      val tau = ranked.filter(col("pri_rank") === p.k + 1).select(col("t"), col("pri_q") as "tau")
+      ranked.filter(col("pri_rank") <= p.k).join(tau, Seq("t"), "left")
+        .withColumn(Sampler.estCol(p.measure),
+          greatest(col(p.measure).cast("double"), coalesce(col("tau"), lit(0.0))))
+        .drop("pri_q", "pri_rank", "tau")
+    }
+    for (k <- Seq(5, 50, 2000)) {
+      val p = Priority(k, "impression")
+      val got = p.sample(ad)
+      val want = selfJoined(p).select(got.columns.map(col): _*)
+      assert(got.collect().map(_.toString).sorted.toSeq ==
+        want.collect().map(_.toString).sorted.toSeq, s"k = $k")
+    }
   }
 
   test("sample retains dimensions for constraint pushdown") {
