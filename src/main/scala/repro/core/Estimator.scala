@@ -78,6 +78,7 @@ object Metrics {
     * comparable across measures), averaged over the horizon.
     */
   def relIntervalWidth(fc: repro.forecast.Forecast, truth: Array[Double]): Double = {
+    require(fc.horizon == truth.length, "forecast horizon and truth length mismatch")
     val terms = truth.indices.filter(i => truth(i) != 0.0)
       .map(i => (fc.hi(i) - fc.lo(i)) / math.abs(truth(i)))
     if (terms.isEmpty) 0.0 else terms.sum / terms.size

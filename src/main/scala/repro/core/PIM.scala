@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, RelationalGroupedDataset}
 import org.apache.spark.sql.functions._
 import repro.data.AdSchema
 import repro.sampling.Sampler
@@ -21,41 +21,48 @@ import repro.sampling.Sampler
   * age with occupation/device/tags and with measure intensity precisely so
   * this bias shows up, as it does on the paper's real data (Table 1).
   *
-  * The cube is a set of driver copies ([[SampleColumns]]) whose `est_<m>`
-  * is `SUM(m)`: one of `GROUP BY t` for the day totals and one of
-  * `GROUP BY t, d` per [[AdSchema]] dimension `d` of `full`, each made by one
-  * [[SampleColumns.collect]]. `S_t(C_d)` is then the copy's series under `C_d`,
-  * so cube values are selected with the predicate semantics of the sample
-  * layers and of Spark.
+  * The cube is two driver copies ([[SampleColumns]]) whose `est_<m>` is
+  * `SUM(m)`, each made by one [[SampleColumns.collect]] of one Spark
+  * aggregation over `full`: `GROUP BY t` for the day totals, and
+  * `GROUP BY GROUPING SETS ((t, d₁), …, (t, dₖ))` over the [[AdSchema]]
+  * dimensions `dᵢ` of `full` for the marginals. A marginal row of `dᵢ` holds
+  * null in every other dimension, and null never matches, so `S_t(C_d)` is
+  * the marginal copy's series under `C_d` alone; cube values are selected
+  * with the predicate semantics of the sample layers and of Spark.
   *
-  * @param full     the full relation
+  * @param full     the full relation; it must have a dimension of [[AdSchema]]
   * @param measures measures to support
   */
 final class PIM(full: DataFrame, measures: Seq[String]) {
 
-  private def cube(keys: Seq[String]): SampleColumns = {
-    val sums = measures.map(m => sum(col(m)).cast("double") as Sampler.estCol(m))
-    SampleColumns.collect(full.groupBy((AdSchema.TimeCol +: keys).map(col): _*)
-      .agg(sums.head, sums.tail: _*), measures)
-  }
+  private val dims = AdSchema.Dimensions.filter(full.columns.contains)
+  require(dims.nonEmpty, "PIM needs a dimension of " + AdSchema.Dimensions.mkString(", "))
 
-  private val totals = cube(Nil)
+  private val sums = measures.map(m => sum(col(m)).cast("double") as Sampler.estCol(m))
 
-  private val marginals: Map[String, SampleColumns] =
-    AdSchema.Dimensions.filter(full.columns.contains).map(d => d -> cube(Seq(d))).toMap
+  private def collect(cube: RelationalGroupedDataset): SampleColumns =
+    SampleColumns.collect(cube.agg(sums.head, sums.tail: _*), measures)
+
+  private val totals = collect(full.groupBy(AdSchema.TimeCol))
+
+  private val marginals = collect(full.groupingSets(
+    dims.map(d => Seq(col(AdSchema.TimeCol), col(d))), (AdSchema.TimeCol +: dims).map(col): _*))
 
   /** Estimated daily series for a task, PIM-style.
     *
-    * @throws IllegalArgumentException if the constraint names a dimension
-    *         the cube does not cover
+    * @throws IllegalArgumentException if the task's measure or a dimension
+    *         of its constraint is not in the cube
     */
   def estimateSeries(task: ForecastTask): Array[Double] = {
+    if (!measures.contains(task.measure)) throw new IllegalArgumentException(
+      s"PIM cube does not hold measure '${task.measure}'; it holds " + measures.mkString(", "))
+    task.constraint.dims.filterNot(dims.contains).foreach { d =>
+      throw new IllegalArgumentException(
+        s"PIM cube does not cover dimension '$d'; it covers " + dims.sorted.mkString(", "))
+    }
     val total = totals.series(task.copy(constraint = Constraint(Nil)))
-    val masses = task.constraint.preds.groupBy(_.dim).toSeq.map { case (d, preds) =>
-      marginals.getOrElse(d, throw new IllegalArgumentException(
-        s"PIM cube does not cover dimension '$d'; it covers " +
-          marginals.keys.toSeq.sorted.mkString(", ")))
-        .series(task.copy(constraint = Constraint(preds)))
+    val masses = task.constraint.preds.groupBy(_.dim).toSeq.map { case (_, preds) =>
+      marginals.series(task.copy(constraint = Constraint(preds)))
     }
     Array.tabulate(total.length) { i =>
       if (total(i) <= 0.0) 0.0
@@ -64,5 +71,5 @@ final class PIM(full: DataFrame, measures: Seq[String]) {
   }
 
   /** Rows the cube stores — PIM's space cost, reported in benches. */
-  def cubeRows: Long = totals.rows + marginals.valuesIterator.map(_.rows).sum
+  def cubeRows: Long = totals.rows + marginals.rows
 }

@@ -10,18 +10,11 @@ package repro.num
   */
 object LinAlg {
 
-  /** Solve the square system `A x = b` by Gaussian elimination with partial
-    * pivoting. `a` is row-major `n×n` and is not mutated.
+  /** Solve the square system `m x = y` by Gaussian elimination with partial
+    * pivoting, overwriting `m` and `y`; [[NormalEquations.solve]] calls it.
     *
     * @throws IllegalArgumentException if the matrix is numerically singular.
     */
-  def solve(a: Array[Array[Double]], b: Array[Double]): Array[Double] = {
-    val n = b.length
-    require(a.length == n && a.forall(_.length == n), "solve: shape mismatch")
-    eliminate(Array.tabulate(n, n)((i, j) => a(i)(j)), b.clone())
-  }
-
-  /** [[solve]] on a matrix and right-hand side it may overwrite. */
   private def eliminate(m: Array[Array[Double]], y: Array[Double]): Array[Double] = {
     val n = y.length
     var col = 0
@@ -63,18 +56,6 @@ object LinAlg {
       i -= 1
     }
     x
-  }
-
-  /** Ordinary least squares: minimize ‖X β − y‖₂ via the normal equations
-    * `(XᵀX + λI) β = Xᵀy`. A tiny ridge term `λ` keeps near-collinear ARMA
-    * regressors solvable; default is effectively exact for well-posed fits.
-    */
-  def lstsq(x: Array[Array[Double]], y: Array[Double], ridge: Double = 1e-9): Array[Double] = {
-    require(x.length == y.length && x.nonEmpty, "lstsq: shape mismatch")
-    val eq = new NormalEquations(x(0).length)
-    var r = 0
-    while (r < x.length) { eq.add(x(r), y(r)); r += 1 }
-    eq.solve(ridge)
   }
 
   /** The normal equations `XᵀX β = Xᵀy` of a least-squares problem with `k`

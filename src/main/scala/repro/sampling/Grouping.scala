@@ -30,15 +30,11 @@ object Grouping {
   }
 
   /** Trend deviation ρ_{p,q} between two measures (eq. 8):
-    * `max_i(m_p/m_q) / min_i(m_p/m_q)`. ρ = 1 iff the measures are
-    * proportional row-by-row.
+    * `max_i(m_p/m_q) / min_i(m_p/m_q)`, the consistency scale of `w = m_q`
+    * with `m_p`. ρ = 1 iff the measures are proportional row-by-row.
     */
-  def trendDeviation(df: DataFrame, p: String, q: String): Double = {
-    val r = df.select(
-      min(col(p).cast("double") / col(q)) as "lo",
-      max(col(p).cast("double") / col(q)) as "hi").head
-    r.getDouble(1) / r.getDouble(0)
-  }
+  def trendDeviation(df: DataFrame, p: String, q: String): Double =
+    consistencyScale(df, p, col(q))
 
   /** Range deviation δ of a measure group (eq. 10): the largest per-row
     * ratio between the group's max and min measure.

@@ -161,5 +161,8 @@ class EstimatorSpec extends SparkFunSpec {
   test("Metrics.relIntervalWidth on a known forecast") {
     val fc = repro.forecast.Forecast(Array(100.0), Array(90.0), Array(110.0))
     assert(Metrics.relIntervalWidth(fc, Array(100.0)) == 0.2)
+    // A truth shorter or longer than the horizon is rejected, not averaged.
+    for (truth <- Seq(Array.empty[Double], Array(100.0, 100.0)))
+      intercept[IllegalArgumentException](Metrics.relIntervalWidth(fc, truth))
   }
 }

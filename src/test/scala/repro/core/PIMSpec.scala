@@ -1,13 +1,16 @@
 package repro.core
 
+import org.apache.spark.JobCounter
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkFunSpec, TestData}
 import repro.data.AdSchema
+import repro.sampling.Sampler
 
 /** Tests for the PIM baseline [8]: exactness under true partwise
   * independence and on any single-dimension constraint, bias under
-  * correlation (the effect Table 1 shows), cube contents (oracle-checked),
-  * and error handling.
+  * correlation (the effect Table 1 shows), cube contents (oracle-checked and
+  * against a cube of one copy per dimension), and error handling.
   */
 class PIMSpec extends SparkFunSpec {
 
@@ -33,6 +36,31 @@ class PIMSpec extends SparkFunSpec {
   }
 
   private lazy val independentPim = new PIM(independent, Seq("m"))
+
+  /** PIM over the cube it was first built as: a `GROUP BY t` copy for the
+    * day totals and a `GROUP BY t, d` copy per dimension `d`.
+    */
+  private final class PerDimensionPim(full: DataFrame, measures: Seq[String]) {
+    private def cube(keys: Seq[String]) = {
+      val sums = measures.map(m => sum(col(m)).cast("double") as Sampler.estCol(m))
+      SampleColumns.collect(full.groupBy((AdSchema.TimeCol +: keys).map(col): _*)
+        .agg(sums.head, sums.tail: _*), measures)
+    }
+    private val totals = cube(Nil)
+    private val marginals =
+      AdSchema.Dimensions.filter(full.columns.contains).map(d => d -> cube(Seq(d))).toMap
+    def cubeRows: Long = totals.rows + marginals.valuesIterator.map(_.rows).sum
+    def estimateSeries(task: ForecastTask): Array[Double] = {
+      val total = totals.series(task.copy(constraint = Constraint(Nil)))
+      val masses = task.constraint.preds.groupBy(_.dim).toSeq.map { case (d, preds) =>
+        marginals(d).series(task.copy(constraint = Constraint(preds)))
+      }
+      Array.tabulate(total.length) { i =>
+        if (total(i) <= 0.0) 0.0
+        else masses.foldLeft(total(i))((acc, mass) => acc * (mass(i) / total(i)))
+      }
+    }
+  }
 
   private def task(measure: String, preds: Seq[Pred], ts: Int, te: Int) =
     ForecastTask(measure, "ad", Constraint(preds), ts, te)
@@ -75,7 +103,35 @@ class PIMSpec extends SparkFunSpec {
     val e = intercept[IllegalArgumentException] {
       estimate(independentPim, "m", Seq(Pred("age", "=", "30", isString = false)), 0)
     }
-    assert(e.getMessage.contains("'age'"), e.getMessage)
+    assert(e.getMessage.contains("'age'") && e.getMessage.contains("device, gender"),
+      e.getMessage)
+  }
+
+  test("a task on a measure the cube does not hold throws") {
+    val e = intercept[IllegalArgumentException] {
+      estimate(independentPim, "click", Seq(Pred("gender", "=", "x", isString = true)), 0)
+    }
+    assert(e.getMessage.contains("'click'") && e.getMessage.contains("holds m"), e.getMessage)
+  }
+
+  test("the cube is built in 4 Spark jobs: one aggregation per copy") {
+    val df = ad // generated and cached before the count
+    val (_, jobs) = JobCounter(spark.sparkContext)(new PIM(df, AdSchema.Measures))
+    assert(jobs == 4, s"building the cube ran $jobs Spark jobs")
+  }
+
+  test("estimates and cubeRows equal a cube of one copy per dimension, bit for bit") {
+    val pool = new TaskGen(ad, seed = 4006).pool
+    def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    for ((df, cube) <- Seq(ad -> pim, TestData.adWithNulls -> new PIM(TestData.adWithNulls,
+      AdSchema.Measures))) {
+      val reference = new PerDimensionPim(df, AdSchema.Measures)
+      assert(cube.cubeRows == reference.cubeRows)
+      for (i <- pool.indices; (ts, te) <- Seq((0, 19), (5, 12))) {
+        val t = ForecastTask(AdSchema.Measures(i % AdSchema.Measures.size), "ad", pool(i), ts, te)
+        assert(bits(cube.estimateSeries(t)) == bits(reference.estimateSeries(t)), t.sql)
+      }
+    }
   }
 
   test("oracle: PIM per-dimension marginals match DuckDB group-by") {

@@ -5,9 +5,9 @@ import repro.num.LinAlg
 
 /** Slow reference for [[Arima.fit]] and [[Arima.autoFit]]: the order search
   * as it was written before stage 1 was shared across orders, every
-  * regression built from boxed rows and fed to a private copy of the
-  * row-matrix least-squares routine. Tests require the production search to
-  * match it bit for bit.
+  * regression built as a row matrix of boxed rows before its normal
+  * equations are summed. Tests require the production search to match it bit
+  * for bit.
   */
 object ArimaReference {
 
@@ -103,35 +103,11 @@ object ArimaReference {
     fc.point.forall(v => java.lang.Double.isFinite(v) && math.abs(v) <= cap)
   }
 
-  /** The normal-equation least squares the reference was written against. */
+  /** Least squares of the row matrix `x` through its normal equations. */
   private def lstsq(x: Array[Array[Double]], y: Array[Double], ridge: Double): Array[Double] = {
-    val nRows = x.length
-    require(nRows == y.length && nRows > 0, "lstsq: shape mismatch")
-    val p = x(0).length
-    val xtx = Array.ofDim[Double](p, p)
-    val xty = new Array[Double](p)
-    var r = 0
-    while (r < nRows) {
-      val row = x(r)
-      var i = 0
-      while (i < p) {
-        val xi = row(i)
-        if (xi != 0.0) {
-          var j = i
-          while (j < p) { xtx(i)(j) += xi * row(j); j += 1 }
-          xty(i) += xi * y(r)
-        }
-        i += 1
-      }
-      r += 1
-    }
-    var i = 0
-    while (i < p) {
-      xtx(i)(i) += ridge
-      var j = i + 1
-      while (j < p) { xtx(j)(i) = xtx(i)(j); j += 1 }
-      i += 1
-    }
-    LinAlg.solve(xtx, xty)
+    require(x.length == y.length && x.nonEmpty, "lstsq: shape mismatch")
+    val eq = new LinAlg.NormalEquations(x(0).length)
+    x.indices.foreach(r => eq.add(x(r), y(r)))
+    eq.solve(ridge)
   }
 }
