@@ -6,12 +6,11 @@ import repro.exp._
 import repro.sampling.GSW
 
 /** Shared bootstrap for the spark-submit entrypoints: one local (or
-  * cluster-provided) session, bench-scale data, workload generator and
-  * exact-series cache. Scale is controlled by the BENCH_* env vars
-  * understood by [[repro.exp.BenchConfig]].
+  * cluster-provided) session and the bench-scale data. Scale is controlled
+  * by the BENCH_* env vars understood by [[repro.exp.BenchConfig]].
   */
 object JobEnv {
-  def init(appName: String): (SparkSession, BenchConfig, DataFrame, TaskGen, SeriesCache) = {
+  def init(appName: String): (SparkSession, BenchConfig, DataFrame) = {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
@@ -19,9 +18,7 @@ object JobEnv {
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     val cfg = BenchConfig()
-    val df = Harness.data(spark, cfg)
-    val gen = new TaskGen(df)
-    (spark, cfg, df, gen, new SeriesCache(df))
+    (spark, cfg, Harness.data(spark, cfg))
   }
 }
 
@@ -30,24 +27,28 @@ object JobEnv {
   * spark-submit --class repro.jobs.Run <jar> table1
   * }}}
   * `table1` is Table 1 (Exp-I), `exp2`–`exp5` are Figs 8, 9, 10–15 and 16,
-  * `fig6` is Figure 6.
+  * `fig6` is Figure 6. Each runs over the workload generator's tasks; all but
+  * `exp2` judge them against the exact series of a [[SeriesCache]].
   */
 object Run {
-  private val Experiments = Seq[(String, (DataFrame, TaskGen, SeriesCache, BenchConfig) => String)](
-    ("table1", Table1.run(_, _, _, _).rendered),
-    ("exp2", (df, gen, _, cfg) => Exp2.run(df, gen, cfg).rendered),
-    ("exp3", Exp3.run(_, _, _, _).rendered),
-    ("exp4", Exp4.run(_, _, _, _).rendered),
-    ("exp5", Exp5.run(_, _, _, _).rendered),
-    ("fig6", Fig6.run(_, _, _, _).rendered))
+  private def withTruth(run: (DataFrame, TaskGen, SeriesCache, BenchConfig) => String) =
+    (df: DataFrame, gen: TaskGen, cfg: BenchConfig) => run(df, gen, new SeriesCache(df), cfg)
+
+  private val Experiments = Seq[(String, (DataFrame, TaskGen, BenchConfig) => String)](
+    ("table1", withTruth(Table1.run(_, _, _, _).rendered)),
+    ("exp2", Exp2.run(_, _, _).rendered),
+    ("exp3", withTruth(Exp3.run(_, _, _, _).rendered)),
+    ("exp4", withTruth(Exp4.run(_, _, _, _).rendered)),
+    ("exp5", withTruth(Exp5.run(_, _, _, _).rendered)),
+    ("fig6", withTruth(Fig6.run(_, _, _, _).rendered)))
 
   def main(args: Array[String]): Unit = {
     val (name, experiment) = args match {
       case Array(name) => Experiments.find(_._1 == name).getOrElse(usage())
       case _ => usage()
     }
-    val (spark, cfg, df, gen, cache) = JobEnv.init(s"flashp-$name")
-    println(experiment(df, gen, cache, cfg))
+    val (spark, cfg, df) = JobEnv.init(s"flashp-$name")
+    println(experiment(df, new TaskGen(df), cfg))
     spark.stop()
   }
 
@@ -67,7 +68,7 @@ object Run {
 object RunForecast {
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: RunForecast '<FORECAST statement>' [samplingRate]")
-    val (spark, cfg, df, _, _) = JobEnv.init("flashp-forecast")
+    val (spark, _, df) = JobEnv.init("flashp-forecast")
     val task = TaskParser.parse(args(0))
     val rate = if (args.length > 1) args(1).toDouble else 0.05
     val store = new SampleStore

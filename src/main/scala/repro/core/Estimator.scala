@@ -13,10 +13,11 @@ import repro.sampling.Sampler
   * equivalent to a single scan with GROUP BY t. Each partition sums its
   * rows into a per-day array ([[repro.PartitionFold]]): one Spark job.
   *
-  * It serves the full scan ([[FlashP.runOnFull]]) and the ground truth
-  * ([[repro.exp.SeriesCache]]). Sample layers are served by their driver
-  * copies ([[SampleColumns]]); [[estimateSeries]] is the Spark reference
-  * those copies are tested against.
+  * It serves the full scan ([[FlashP.runOnFull]], the paper's "Full"
+  * baseline). Sample layers and the experiments' ground truth
+  * ([[repro.exp.SeriesCache]]) are served by driver copies
+  * ([[SampleColumns]]); [[exactSeries]] and [[estimateSeries]] are the Spark
+  * references those copies are tested against.
   */
 object Estimator {
 
@@ -49,7 +50,7 @@ object Estimator {
     Array.tabulate(days)(d => parts.foldLeft(0.0)(_ + _(d)))
   }
 
-  private[core] def isIntegral(t: DataType): Boolean = t match {
+  private[repro] def isIntegral(t: DataType): Boolean = t match {
     case ByteType | ShortType | IntegerType | LongType => true
     case _ => false
   }

@@ -113,6 +113,11 @@ final class SampleColumns private (val rows: Long, firstDay: Int, dayStart: Arra
 
 object SampleColumns {
 
+  /** The most days a copy spans, first to last: its day offsets take at
+    * most 4 MB.
+    */
+  val MaxDays = 1 << 20
+
   /** Copy the layer `df` to the driver with one Spark job over its time
     * column, its [[AdSchema]] dimensions of integral or string type and the
     * `est_<m>` columns of `measures`. Each partition fills primitive arrays
@@ -120,6 +125,10 @@ object SampleColumns {
     * concatenates them in partition order, merges the dictionaries, groups
     * the rows by day and builds each dimension's row index; if `df` is
     * persisted unfilled, the job fills it.
+    *
+    * @throws IllegalArgumentException naming the time column, its first and
+    *         last day and [[MaxDays]], if the days span more than [[MaxDays]]
+    *         or lie beyond `Int`
     */
   def collect(df: DataFrame, measures: Seq[String]): SampleColumns = {
     val time = AdSchema.TimeCol
@@ -137,21 +146,22 @@ object SampleColumns {
     }) ++ estNames.map(e => col(e).cast(DoubleType)): _*)
     val parts = PartitionFold(projected, "SampleColumns.collect")(Part.fill(_, integral, nEst))
 
+    // One offset per day of the span: reject a span of more than MaxDays
+    // days, or beyond `Int`, before allocating anything on the driver.
+    val first = parts.foldLeft(Long.MaxValue)(_ min _.firstDay)
+    val last = parts.foldLeft(Long.MinValue)(_ max _.lastDay)
+    val empty = first > last
+    require(empty || first >= Int.MinValue && last <= Int.MaxValue && last - first < MaxDays,
+      s"time column '$time' spans days $first to $last; a driver copy holds at most $MaxDays days")
+    val firstDay = if (empty) 0 else first.toInt
+
     // Group the rows by day with a counting sort; `slot(j)` is row j's
     // position in day order. Loops over rows are `while` loops, which the
     // JIT compiles to plain array code; a closure per row costs a call.
     val day = parts.flatMap(_.day)
     val n = day.length
-    var firstDay = if (n == 0) 0 else Int.MaxValue
-    var lastDay = if (n == 0) -1 else Int.MinValue
+    val dayStart = new Array[Int](if (empty) 1 else (last - first + 2).toInt)
     var j = 0
-    while (j < n) {
-      firstDay = math.min(firstDay, day(j))
-      lastDay = math.max(lastDay, day(j))
-      j += 1
-    }
-    val dayStart = new Array[Int](lastDay - firstDay + 2)
-    j = 0
     while (j < n) { dayStart(day(j) - firstDay + 1) += 1; j += 1 }
     for (d <- 1 until dayStart.length) dayStart(d) += dayStart(d - 1)
     val cursor = dayStart.clone()
@@ -201,9 +211,12 @@ object SampleColumns {
   /** One partition's rows that have a time stamp, in partition order: the
     * day, each dimension's code into the partition's own dictionary (of
     * `Long`, `String` or null values) and each estimate. A null estimate is
-    * held as 0, which adds nothing, as SUM skips it.
+    * held as 0, which adds nothing, as SUM skips it. `day` holds each time
+    * stamp's low 32 bits, which are its day once `[firstDay, lastDay]` is
+    * known to lie within `Int`.
     */
-  private final class Part(val nullTime: Int, val day: Array[Int],
+  private final class Part(val nullTime: Int, val firstDay: Long, val lastDay: Long,
+                           val day: Array[Int],
                            val codes: Array[Array[Int]], val dicts: Array[Array[Any]],
                            val est: Array[Array[Double]]) extends Serializable
 
@@ -215,6 +228,8 @@ object SampleColumns {
     def fill(rows: Iterator[InternalRow], integral: Array[Boolean], nEst: Int): Part = {
       val nDims = integral.length
       var nullTime = 0
+      var firstDay = Long.MaxValue
+      var lastDay = Long.MinValue
       val day = new ArrayBuilder.ofInt
       val codes = Array.fill(nDims)(new ArrayBuilder.ofInt)
       val codeOf = Array.fill(nDims)(new java.util.HashMap[Any, Integer]())
@@ -223,7 +238,10 @@ object SampleColumns {
       rows.foreach { r =>
         if (r.isNullAt(0)) nullTime += 1
         else {
-          day += Math.toIntExact(r.getLong(0))
+          val t = r.getLong(0)
+          firstDay = math.min(firstDay, t)
+          lastDay = math.max(lastDay, t)
+          day += t.toInt
           var k = 0
           while (k < nDims) {
             val v: Any =
@@ -249,7 +267,7 @@ object SampleColumns {
           }
         }
       }
-      new Part(nullTime, day.result(), codes.map(_.result()),
+      new Part(nullTime, firstDay, lastDay, day.result(), codes.map(_.result()),
         dicts.map(_.map { case s: UTF8String => s.toString; case v => v }.toArray),
         est.map(_.result()))
     }

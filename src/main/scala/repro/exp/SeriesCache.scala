@@ -1,29 +1,34 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{Estimator, ForecastTask}
-import scala.collection.concurrent.TrieMap
+import repro.core.{Estimator, ForecastTask, StoredSample}
+import repro.data.AdSchema
+import repro.sampling.Uniform
 
-/** Memoizes the exact full-table scans, so experiments that evaluate many
-  * methods on the same task pay for one: a series per `(measure, constraint,
-  * te + forePeriod)` over days `[0, te + forePeriod]`, sliced into training
-  * and future truth. Integer day sums are exact in doubles, so a slice
-  * equals a scan over its own window.
+/** The experiments' ground truth: the whole relation `df` copied to the
+  * driver once, at construction, as a `Uniform(1.0)` layer (one Spark job,
+  * none after). `rand < 1.0` keeps every row and `m / 1.0` is `m`, so the
+  * copy's per-day sums are `SUM(m)`. They equal [[Estimator.exactSeries]]
+  * bit for bit because the measures are integral: day sums below 2^53 are
+  * exact in doubles, whatever the order of summation.
+  *
+  * @throws IllegalArgumentException if a measure column is not integral
   */
 final class SeriesCache(df: DataFrame) {
-  private val series = TrieMap.empty[(String, String, Int), Array[Double]]
+  AdSchema.Measures.foreach { m =>
+    require(Estimator.isIntegral(df.schema(m).dataType),
+      s"measure column '$m' must be integral for an exact truth, not ${df.schema(m).dataType.simpleString}")
+  }
 
-  private def upTo(task: ForecastTask): Array[Double] = {
-    require(task.ts >= 0, s"SeriesCache covers days from 0, not ${task.ts}")
-    val end = task.te + task.forePeriod
-    series.getOrElseUpdate((task.measure, task.constraint.sql, end),
-      Estimator.exactSeries(df, task.copy(ts = 0, te = end)))
+  private val full = {
+    val sampler = Uniform(1.0, AdSchema.Measures)
+    new StoredSample("Full", sampler, sampler.sample(df))
   }
 
   /** Exact training series `M_ts..M_te`. */
-  def exact(task: ForecastTask): Array[Double] = upTo(task).slice(task.ts, task.te + 1)
+  def exact(task: ForecastTask): Array[Double] = full.series(task)
 
   /** Exact future series `(te, te+forePeriod]`. */
   def truth(task: ForecastTask): Array[Double] =
-    upTo(task).slice(task.te + 1, task.te + 1 + task.forePeriod)
+    full.series(task.copy(ts = task.te + 1, te = task.te + task.forePeriod))
 }

@@ -29,7 +29,7 @@ object LinAlg {
         r += 1
       }
       if (best < 1e-12)
-        throw new IllegalArgumentException(s"solve: singular matrix at column $col")
+        throw new IllegalArgumentException(s"NormalEquations.solve: singular matrix at column $col")
       if (piv != col) {
         val tmp = m(piv); m(piv) = m(col); m(col) = tmp
         val t = y(piv); y(piv) = y(col); y(col) = t
@@ -89,7 +89,7 @@ object LinAlg {
       *         numerically singular.
       */
     def solve(ridge: Double): Array[Double] = {
-      require(rows > 0, "lstsq: no rows")
+      require(rows > 0, "NormalEquations.solve: no rows")
       val m = Array.ofDim[Double](k, k)
       var i = 0
       while (i < k) {

@@ -8,7 +8,7 @@ import repro.sampling.{GSW, Uniform}
 
 /** Tests for the online aggregation phase: exact per-day series
   * (oracle-checked against DuckDB), sample-based estimation, day-gap
-  * filling, and the ground truth's one cached series per slice.
+  * filling, and the ground truth's driver copy of the whole relation.
   */
 class EstimatorSpec extends SparkFunSpec {
 
@@ -130,22 +130,31 @@ class EstimatorSpec extends SparkFunSpec {
     }
   }
 
-  test("SeriesCache: exact and truth are slices of one exact series, from one scan") {
-    val cache = new SeriesCache(ad)
-    val t1 = task.copy(ts = 0, te = 12, forePeriod = 7)
-    val t2 = t1.copy(ts = 5)
-    // One scan is one Spark job: each partition folds its rows into day sums.
-    val (_, scanJobs) = JobCounter(spark.sparkContext)(
-      Estimator.exactSeries(ad, t1.copy(te = 19)))
-    assert(scanJobs == 1, s"one scan ran $scanJobs Spark jobs")
-    val (slices, jobs) = JobCounter(spark.sparkContext)(
-      Seq(t1, t2).map(t => (cache.exact(t), cache.truth(t))))
-    assert(jobs == scanJobs, s"two tasks over one slice ran $jobs Spark jobs, one scan $scanJobs")
+  test("SeriesCache: exact and truth equal exactSeries bit for bit over TaskGen's pool, with no Spark job") {
+    val sc = spark.sparkContext
+    val (cache, buildJobs) = JobCounter(sc)(new SeriesCache(ad))
+    assert(buildJobs == 1, s"building the cache ran $buildJobs Spark jobs")
+    val pool = new TaskGen(ad, seed = 4006, poolSize = 40).pool
+    val measures = repro.data.AdSchema.Measures
+    // ad holds days 0-19: the second window's future reaches days 20-23.
+    val windows = Seq((0, 12), (5, 16), (-2, 9))
+    val tasks = for ((c, i) <- pool.zipWithIndex; (ts, te) <- windows)
+      yield ForecastTask(measures(i % measures.size), "ad", c, ts, te, forePeriod = 7)
+    val (answers, jobs) = JobCounter(sc)(tasks.map(t => (cache.exact(t), cache.truth(t))))
+    assert(jobs == 0, s"${tasks.size} tasks ran $jobs Spark jobs")
     def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
-    Seq(t1, t2).zip(slices).foreach { case (t, (exact, truth)) =>
-      assert(bits(exact) == bits(Estimator.exactSeries(ad, t)))
-      assert(bits(truth) == bits(Estimator.exactSeries(ad, t.copy(ts = 13, te = 19))))
+    tasks.zip(answers).foreach { case (t, (exact, truth)) =>
+      val future = Estimator.exactSeries(ad, t.copy(ts = t.te + 1, te = t.te + t.forePeriod))
+      assert(bits(exact) == bits(Estimator.exactSeries(ad, t)), t.sql)
+      assert(bits(truth) == bits(future), t.sql)
+      if (t.te == 16) assert(truth.drop(3).forall(_ == 0.0) && future.drop(3).forall(_ == 0.0), t.sql)
     }
+  }
+
+  test("SeriesCache rejects a non-integral measure column, naming it") {
+    val e = intercept[IllegalArgumentException](
+      new SeriesCache(ad.withColumn("click", col("click") * 0.5)))
+    assert(e.getMessage.contains("'click'"), e.getMessage)
   }
 
   test("Metrics.relAggError on known vectors") {

@@ -200,6 +200,24 @@ class SampleColumnsSpec extends SparkFunSpec {
     store.clear()
   }
 
+  test("time stamps spanning more days than a copy holds, or beyond Int, are rejected naming the column") {
+    val far = ad.withColumn("t", when(col("t") === 3, lit(1500000000)).otherwise(col("t")))
+    val beyondInt = ad.withColumn("t",
+      when(col("t") === 3, lit(5000000000L)).otherwise(col("t").cast("long")))
+    for ((df, last) <- Seq(far -> 1500000000L, beyondInt -> 5000000000L)) {
+      val e = intercept[IllegalArgumentException](SampleColumns.collect(df, Nil))
+      for (part <- Seq("'t'", " 0 ", s"$last", s"${SampleColumns.MaxDays}"))
+        assert(e.getMessage.contains(part), e.getMessage)
+    }
+    // The longest span a copy holds answers as Spark does.
+    val lastDay = SampleColumns.MaxDays - 1
+    val atBound = ad.withColumn("t", when(col("t") === 3, lit(lastDay)).otherwise(col("t")))
+    val sampler = Uniform(1.0, Seq("impression"))
+    val layer = new StoredSample("bound", sampler, sampler.sample(atBound))
+    for ((ts, te) <- Seq((0, 19), (lastDay - 2, lastDay)))
+      assertSameSeries(layer, task("impression", Constraint(Nil), ts, te))
+  }
+
   test("a layer built without a driver copy makes it in one Spark job") {
     val sampler = Uniform(0.2, Seq("impression"), 4009)
     val df = sampler.sample(ad).cache()
