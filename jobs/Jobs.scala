@@ -27,8 +27,7 @@ object JobEnv {
   * spark-submit --class repro.jobs.Run <jar> table1
   * }}}
   * `table1` is Table 1 (Exp-I), `exp2`–`exp5` are Figs 8, 9, 10–15 and 16,
-  * `fig6` is Figure 6. Each runs over the workload generator's tasks; all but
-  * `exp2` judge them against the exact series of a [[SeriesCache]].
+  * `fig6` is Figure 6.
   */
 object Run {
   private def withTruth(run: (DataFrame, TaskGen, SeriesCache, BenchConfig) => String) =

@@ -14,10 +14,9 @@ import repro.sampling.Sampler
   * rows into a per-day array ([[repro.PartitionFold]]): one Spark job.
   *
   * It serves the full scan ([[FlashP.runOnFull]], the paper's "Full"
-  * baseline). Sample layers and the experiments' ground truth
-  * ([[repro.exp.SeriesCache]]) are served by driver copies
-  * ([[SampleColumns]]); [[exactSeries]] and [[estimateSeries]] are the Spark
-  * references those copies are tested against.
+  * baseline). Sample layers and the ground truth ([[repro.exp.SeriesCache]])
+  * are served by driver copies ([[SampleColumns]]), tested against
+  * [[exactSeries]] and [[estimateSeries]].
   */
 object Estimator {
 

@@ -113,9 +113,7 @@ final class SampleColumns private (val rows: Long, firstDay: Int, dayStart: Arra
 
 object SampleColumns {
 
-  /** The most days a copy spans, first to last: its day offsets take at
-    * most 4 MB.
-    */
+  /** The most days a copy spans, first to last: its day offsets take 4 MB. */
   val MaxDays = 1 << 20
 
   /** Copy the layer `df` to the driver with one Spark job over its time
@@ -146,8 +144,7 @@ object SampleColumns {
     }) ++ estNames.map(e => col(e).cast(DoubleType)): _*)
     val parts = PartitionFold(projected, "SampleColumns.collect")(Part.fill(_, integral, nEst))
 
-    // One offset per day of the span: reject a span of more than MaxDays
-    // days, or beyond `Int`, before allocating anything on the driver.
+    // Reject a span the day offsets cannot hold before allocating them.
     val first = parts.foldLeft(Long.MaxValue)(_ min _.firstDay)
     val last = parts.foldLeft(Long.MinValue)(_ max _.lastDay)
     val empty = first > last
