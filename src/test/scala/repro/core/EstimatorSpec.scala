@@ -130,6 +130,23 @@ class EstimatorSpec extends SparkFunSpec {
     }
   }
 
+  test("SeriesCache: exact and truth are slices of one exact series, from one scan") {
+    // Building the cache is the one scan: a single Spark job copies the relation.
+    val (cache, scanJobs) = JobCounter(spark.sparkContext)(new SeriesCache(ad))
+    assert(scanJobs == 1, s"building the cache ran $scanJobs Spark jobs")
+    val t1 = task.copy(ts = 0, te = 12, forePeriod = 7)
+    val t2 = t1.copy(ts = 5)
+    val (slices, jobs) = JobCounter(spark.sparkContext)(
+      Seq(t1, t2).map(t => (cache.exact(t), cache.truth(t))))
+    assert(jobs == 0, s"two tasks over one slice ran $jobs Spark jobs")
+    def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    val whole = Estimator.exactSeries(ad, t1.copy(te = 19))
+    Seq(t1, t2).zip(slices).foreach { case (t, (exact, truth)) =>
+      assert(bits(exact) == bits(whole.slice(t.ts, t.te + 1)))
+      assert(bits(truth) == bits(whole.slice(13, 20)))
+    }
+  }
+
   test("SeriesCache: exact and truth equal exactSeries bit for bit over TaskGen's pool, with no Spark job") {
     val sc = spark.sparkContext
     val (cache, buildJobs) = JobCounter(sc)(new SeriesCache(ad))
